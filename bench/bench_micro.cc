@@ -76,9 +76,11 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   // One queue across iterations so the arena reaches steady state (slots
   // recycled through the free list instead of growing the pool).
   sim::EventQueue q;
+  uint64_t seq = 0;
   for (auto _ : state) {
     for (int i = 0; i < 1000; ++i) {
-      q.PushClosure(static_cast<sim::SimTime>((i * 7919) % 1000), [] {});
+      q.PushClosureSeq(static_cast<sim::SimTime>((i * 7919) % 1000), seq++,
+                       sim::kNullNode, [] {});
     }
     while (!q.Empty()) benchmark::DoNotOptimize(q.PopEvent());
   }

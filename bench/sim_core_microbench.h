@@ -67,23 +67,28 @@ class FloodNode : public sim::Node {
 
 }  // namespace detail
 
-// Events/sec: `chains` self-rescheduling closures, `total` events overall.
-// Exercises arena allocate/recycle, the 4-ary heap, and closure dispatch.
+// Events/sec: `chains` self-rescheduling node closures, `total` events
+// overall.  Exercises arena allocate/recycle, the 4-ary heap, and closure
+// dispatch (node events live in the engine core's arena; control closures
+// would measure the barrier heap instead).
 inline double MeasureEventThroughput(uint64_t total, int chains = 64) {
   sim::Simulator sim(1);
+  sim::Node node(&sim);
   uint64_t remaining = total;
   struct Chain {
-    sim::Simulator* sim;
+    sim::Node* node;
     uint64_t* remaining;
     void operator()() const {
       if (*remaining == 0) return;
       --*remaining;
-      sim->After(10, *this);
+      node->After(10, *this);
     }
   };
-  for (int c = 0; c < chains; ++c) {
-    sim.After(1 + c, Chain{&sim, &remaining});
-  }
+  sim.PostToNode(node.id(), [&node, &remaining, chains] {
+    for (int c = 0; c < chains; ++c) {
+      node.After(1 + c, Chain{&node, &remaining});
+    }
+  });
   const auto start = std::chrono::steady_clock::now();
   while (remaining > 0 && sim.Step()) {
   }
@@ -201,8 +206,9 @@ inline SimCoreMicroResults RunSimCoreMicrobench(bool quick = false) {
   r.sends_per_sec = MeasureSendThroughput(scale * 500 * 1000);
   r.timer_fires_per_sec = MeasureTimerThroughput(scale * 500 * 1000);
   r.timer_arm_cancel_per_sec = MeasureArmCancelThroughput(scale * 250 * 1000);
-  // Smaller budget: every bounce crosses a window barrier, so the sharded
-  // ping runs orders of magnitude slower per event than the serial one.
+  // Smaller budget: every bounce crosses a window barrier between worker
+  // threads, so the sharded ping runs orders of magnitude slower per event
+  // than the single-core one.
   r.sharded_sends_per_sec =
       MeasureShardedSendThroughput(scale * 50 * 1000, r.sharded_n);
   r.peak_rss_kb = PeakRssKb();

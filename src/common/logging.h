@@ -16,8 +16,7 @@ LogLevel GetLogLevel();
 void SetLogLevel(LogLevel level);
 
 // Simulation execution context of the calling thread, set by the event
-// dispatch loops (Simulator::ExecuteNext / ExecuteShardNext / the control
-// barrier) so rare WARN/ERROR lines carry the sim time and node id they
+// dispatch loops (Simulator::ExecuteShardNext / the control barrier) so rare WARN/ERROR lines carry the sim time and node id they
 // fired under — correlatable with trace dumps.  Raw integers on purpose:
 // common/ must not depend on sim/ (time is microseconds; node 0xffffffff is
 // the control context).

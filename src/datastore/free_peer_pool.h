@@ -15,12 +15,11 @@ namespace pepper::datastore {
 // free-peer directory mechanism unspecified; this pool is the cluster-level
 // stand-in.  Splits acquire a free peer here; merged-away peers return.
 //
-// The pool is cluster-global state: under the sharded simulator it is only
-// touched from the control context.  Mutations arriving from protocol code
-// (a node's split/merge execution) route through Simulator::Defer — inline
-// in single-threaded mode, at the next window barrier under sharding — and
-// protocol-side acquisition uses AcquireAsync, which hands the answer back
-// on the requesting node's own execution context.
+// The pool is cluster-global state, only touched from the simulator's
+// control context.  Mutations arriving from protocol code (a node's
+// split/merge execution) route through Simulator::Defer — to the next
+// window barrier — and protocol-side acquisition uses AcquireAsync, which
+// hands the answer back on the requesting node's own execution context.
 class FreePeerPool {
  public:
   explicit FreePeerPool(sim::Simulator* sim) : sim_(sim) {}
@@ -65,13 +64,8 @@ class FreePeerPool {
   // Acquire from protocol code: pops at the control context, then delivers
   // the answer on `requester`'s execution context (alive-guarded — the
   // popped peer goes back to the front if the requester died in between).
-  // Single-threaded, this collapses to an inline Acquire + callback.
   void AcquireAsync(sim::NodeId requester,
                     std::function<void(std::optional<sim::NodeId>)> cb) {
-    if (!sim_->sharded()) {
-      cb(Acquire());
-      return;
-    }
     sim_->Defer([this, requester, cb = std::move(cb)]() {
       std::optional<sim::NodeId> got = Acquire();
       if (!sim_->IsAlive(requester)) {

@@ -7,7 +7,13 @@
 
 namespace pepper::router {
 
-struct LookupForwardAck : sim::Payload {};
+// `refused`: the hop is not a ring member (free — typically merged away
+// while a stale pointer still names it — or still joining), so it can
+// neither answer nor forward; the sender must pick another hop.
+struct LookupForwardAck : sim::Payload {
+  explicit LookupForwardAck(bool refused = false) : refused(refused) {}
+  bool refused;
+};
 
 RouterBase::RouterBase(ring::RingNode* ring, datastore::DataStoreNode* ds,
                        RouterOptions options, bool greedy)
@@ -94,8 +100,12 @@ void RouterBase::StartAttempt(Key key, uint64_t lookup_id, int retries_left,
 
 void RouterBase::HandleRequest(const sim::Message& msg,
                                const LookupRequest& req) {
+  const ring::PeerState state = ring_->state();
+  const bool member =
+      state != ring::PeerState::kFree && state != ring::PeerState::kJoining;
   if (msg.rpc_id != 0) {
-    Reply(msg, sim::MakePayload<LookupForwardAck>());
+    Reply(msg, sim::MakePayload<LookupForwardAck>(!member));
+    if (!member) return;
   }
   RouteOrAnswer(req);
 }
@@ -170,22 +180,32 @@ void RouterBase::RouteOrAnswer(const LookupRequest& req) {
 void RouterBase::ForwardLookup(std::shared_ptr<LookupRequest> fwd,
                                sim::NodeId next, int ring_consults_left) {
   Call(
-      next, fwd, [](const sim::Message&) {}, 4 * ring_->options().ping_timeout,
+      next, fwd,
+      [this, fwd, next, ring_consults_left](const sim::Message& m) {
+        const auto& ack = static_cast<const LookupForwardAck&>(*m.payload);
+        if (ack.refused) ForwardFallback(fwd, next, ring_consults_left);
+      },
+      4 * ring_->options().ping_timeout,
       [this, fwd, next, ring_consults_left]() {
-        auto succ = ring_->GetSuccRelaxed();
-        if (ring_consults_left <= 0 || !succ.has_value() ||
-            succ->id == id() || succ->id == next) {
-          // No fresh hop to try: the lookup silently stalls until the
-          // initiator-side retry.  Counted so scenario probes can see and
-          // bound the event instead of misattributing it as a timeout.
-          if (options_.metrics != nullptr) {
-            options_.metrics->counters().Inc(m_dead_end_);
-          }
-          TraceMark("router.fwd_dead_end", fwd->key);
-          return;
-        }
-        ForwardLookup(fwd, succ->id, ring_consults_left - 1);
+        ForwardFallback(fwd, next, ring_consults_left);
       });
+}
+
+void RouterBase::ForwardFallback(std::shared_ptr<LookupRequest> fwd,
+                                 sim::NodeId next, int ring_consults_left) {
+  auto succ = ring_->GetSuccRelaxed();
+  if (ring_consults_left <= 0 || !succ.has_value() || succ->id == id() ||
+      succ->id == next) {
+    // No fresh hop to try: the lookup silently stalls until the
+    // initiator-side retry.  Counted so scenario probes can see and bound
+    // the event instead of misattributing it as a timeout.
+    if (options_.metrics != nullptr) {
+      options_.metrics->counters().Inc(m_dead_end_);
+    }
+    TraceMark("router.fwd_dead_end", fwd->key);
+    return;
+  }
+  ForwardLookup(std::move(fwd), succ->id, ring_consults_left - 1);
 }
 
 sim::NodeId LinearRouter::NextHop(Key /*key*/) {

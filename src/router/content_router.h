@@ -88,13 +88,16 @@ class RouterBase : public sim::ProtocolComponent, public ContentRouter {
   void HandleRequest(const sim::Message& msg, const LookupRequest& req);
   void HandleReply(const sim::Message& msg, const LookupReply& reply);
   void RouteOrAnswer(const LookupRequest& req);
-  // Acked forwarding with ring fallback: if `next` never acks, re-consult
-  // the ring up to `ring_consults_left` times (the successor chain repairs
-  // itself between consults); a chain that ends with no live hop is counted
-  // as `router.fwd_dead_end` (the lookup then stalls until the
-  // initiator-side retry).
+  // Acked forwarding with ring fallback: if `next` never acks, or refuses
+  // because it is no longer a ring member, re-consult the ring up to
+  // `ring_consults_left` times (the successor chain repairs itself between
+  // consults); a chain that ends with no live member hop is counted as
+  // `router.fwd_dead_end` (the lookup then stalls until the initiator-side
+  // retry).
   void ForwardLookup(std::shared_ptr<LookupRequest> fwd, sim::NodeId next,
                      int ring_consults_left);
+  void ForwardFallback(std::shared_ptr<LookupRequest> fwd, sim::NodeId next,
+                       int ring_consults_left);
 
   bool greedy_;
   uint64_t next_lookup_id_;

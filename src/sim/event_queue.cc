@@ -22,26 +22,6 @@ Event& EventQueue::Allocate(SimTime at, uint64_t seq) {
   return ev;
 }
 
-void EventQueue::PushClosure(SimTime at, std::function<void()> fn) {
-  Event& ev = Allocate(at, next_seq_++);
-  ev.kind = EventKind::kClosure;
-  ev.fn = std::move(fn);
-}
-
-void EventQueue::PushNodeClosure(SimTime at, NodeId node,
-                                 std::function<void()> fn) {
-  Event& ev = Allocate(at, next_seq_++);
-  ev.kind = EventKind::kNodeClosure;
-  ev.node = node;
-  ev.fn = std::move(fn);
-}
-
-void EventQueue::PushMessage(SimTime at, Message msg) {
-  Event& ev = Allocate(at, next_seq_++);
-  ev.kind = EventKind::kMessage;
-  ev.msg = std::move(msg);
-}
-
 void EventQueue::PushTimerFire(SimTime at, uint64_t seq, uint32_t timer_idx) {
   Event& ev = Allocate(at, seq);
   ev.kind = EventKind::kTimerFire;

@@ -37,42 +37,31 @@ struct Event {
   std::function<void()> fn;   // kClosure / kNodeClosure
 };
 
-// Time-ordered pooled event queue.  Ordering is by (at, seq) where seq is a
-// global insertion sequence, so ties break by insertion order and runs are
-// fully deterministic — the same contract the old priority_queue kept, now
-// enforced by a 4-ary index heap over arena slots (heap entries are small
-// PODs; the fat records never move during sifts).
+// Time-ordered pooled event queue.  Ordering is by (at, seq), where the
+// caller supplies seq — the simulator's composite (origin node, per-origin
+// counter) values, allocated outside the queue so the (at, seq) order is
+// identical for any shard count.  A 4-ary index heap over arena slots
+// enforces it (heap entries are small PODs; the fat records never move
+// during sifts).
 class EventQueue {
  public:
-  void PushClosure(SimTime at, std::function<void()> fn);
-  void PushNodeClosure(SimTime at, NodeId node, std::function<void()> fn);
-  void PushMessage(SimTime at, Message msg);
-  // Timer fires keep the seq assigned when the timer was (re)armed — see
-  // TimerWheel — so a tick orders against same-instant events exactly as if
-  // it had been pushed at arm time, matching the pre-wheel behavior.
-  void PushTimerFire(SimTime at, uint64_t seq, uint32_t timer_idx);
-
-  // Explicit-seq variants for the sharded simulator, whose seqs are
-  // composite (origin node, per-origin counter) values allocated outside
-  // the queue so the (at, seq) order is identical for any shard count.
   // `origin` on the closure variant records the node whose execution
-  // scheduled it (the shard worker's context attribution); it carries no
-  // alive guard.
+  // scheduled it (the core's context attribution); it carries no alive
+  // guard.
   void PushClosureSeq(SimTime at, uint64_t seq, NodeId origin,
                       std::function<void()> fn);
   void PushNodeClosureSeq(SimTime at, uint64_t seq, NodeId node,
                           std::function<void()> fn);
   void PushMessageSeq(SimTime at, uint64_t seq, Message msg);
-
-  // Hands out the next insertion sequence number.  The TimerWheel draws
-  // from the same counter as direct pushes so (at, seq) is a total order
-  // across both structures.
-  uint64_t AllocateSeq() { return next_seq_++; }
+  // Timer fires keep the seq assigned when the timer was (re)armed — see
+  // TimerWheel — so a tick orders against same-instant events exactly as if
+  // it had been pushed at arm time.
+  void PushTimerFire(SimTime at, uint64_t seq, uint32_t timer_idx);
 
   bool Empty() const { return heap_.empty(); }
   SimTime NextTime() const;
   // Read-only view of the earliest event (undefined when Empty()); the
-  // sharded engine peeks to discard fizzled timer records before using the
+  // engine peeks to discard fizzled timer records before using the
   // head time as a window base.
   const Event& PeekEvent() const { return pool_[heap_.front().idx]; }
 
@@ -108,7 +97,6 @@ class EventQueue {
   std::vector<Event> pool_;
   std::vector<uint32_t> free_;
   std::vector<HeapEntry> heap_;  // 4-ary min-heap on (at, seq)
-  uint64_t next_seq_ = 0;
 };
 
 }  // namespace pepper::sim

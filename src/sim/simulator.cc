@@ -32,69 +32,22 @@ void Network::Send(Message msg) {
   }
   PEPPER_CHECK(msg.from != kNullNode && msg.to != kNullNode);
   ++messages_sent_[tls_metrics_lane];
-  if (!sim_->sharded()) {
-    // Fixed-latency configs (min == max) skip the per-message RNG draw.
-    // NOTE: the RNG stream position is part of the determinism contract — a
-    // run's schedule is a function of every draw ever made — so whether a
-    // config draws here changes its schedule relative to configs that do.
-    // (Rng::Uniform already consumed no state for a degenerate span, so this
-    // fast path does not change any existing schedule, it only skips the
-    // call.)  Runs remain bit-identical against themselves either way.
-    const SimTime latency =
-        options_.min_latency == options_.max_latency
-            ? options_.min_latency
-            : sim_->rng().Uniform(options_.min_latency, options_.max_latency);
-    SimTime deliver_at = sim_->now() + latency;
-    // FIFO bookkeeping only for channels that can still deliver: a message
-    // to a dead or destroyed peer is dropped at delivery time anyway, and
-    // recording it would resurrect bookkeeping ReleaseNode just pruned.
-    if (sim_->IsAlive(msg.to)) {
-      const NodeId hi = std::max(msg.from, msg.to);
-      if (channels_.size() <= hi) channels_.resize(hi + 1);
-      NodeChannels& nc = channels_[msg.from];
-      if (nc.last_out < nc.out.size() && nc.out[nc.last_out].peer == msg.to) {
-        Channel& ch = nc.out[nc.last_out];  // bursty same-destination hit
-        deliver_at = std::max(deliver_at, ch.last_delivery);  // FIFO
-        ch.last_delivery = deliver_at;
-      } else {
-        auto it = std::lower_bound(
-            nc.out.begin(), nc.out.end(), msg.to,
-            [](const Channel& ch, NodeId id) { return ch.peer < id; });
-        if (it != nc.out.end() && it->peer == msg.to) {
-          nc.last_out = static_cast<uint32_t>(it - nc.out.begin());
-          deliver_at = std::max(deliver_at, it->last_delivery);  // FIFO
-          it->last_delivery = deliver_at;
-        } else {
-          // Sorted insert; creation is once per distinct channel ever.
-          nc.out.insert(it, Channel{msg.to, deliver_at});
-          channels_[msg.to].in_senders.push_back(msg.from);
-          channel_count_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-    // Gray-failure injection: extra destination delay (requests only — see
-    // set_node_extra_delay) models the receiver's service queue, applied
-    // AFTER the transport FIFO clamp and excluded from the clamp floor —
-    // responses ride the transport untouched and may overtake queued
-    // requests, so a slow peer's own calls still complete on time.  The
-    // delay only ever pushes delivery later, keeping the lookahead lower
-    // bound valid, and with no delay armed the schedule is unchanged.
-    if (!msg.is_response) deliver_at += node_extra_delay(msg.to);
-    sim_->ScheduleMessage(deliver_at, std::move(msg));
-    return;
-  }
-  // Sharded: latency draws come from the sender's per-node stream, so a
-  // node's draw order is a property of that node's execution history alone
-  // — invariant under the shard partition.  The sender's channel row is
-  // owned by the executing shard (or by the parked-worker control context),
-  // so the FIFO bookkeeping needs no locks; only the receiver-side
-  // inbound-sender index of a remote node defers to the barrier.
+  // Latency draws come from the sender's per-node stream, so a node's draw
+  // order is a property of that node's execution history alone — invariant
+  // under the shard partition.  Fixed-latency configs (min == max) draw
+  // nothing.  The sender's channel row is owned by the executing core (or
+  // by the parked-worker control context), so the FIFO bookkeeping needs no
+  // locks; only the receiver-side inbound-sender index of a remote node
+  // defers to the barrier.
   const SimTime latency =
       options_.min_latency == options_.max_latency
           ? options_.min_latency
           : sim_->SlotRng(msg.from).Uniform(options_.min_latency,
                                             options_.max_latency);
   SimTime deliver_at = sim_->now() + latency;
+  // FIFO bookkeeping only for channels that can still deliver: a message to
+  // a dead or destroyed peer is dropped at delivery time anyway, and
+  // recording it would resurrect bookkeeping ReleaseNode just pruned.
   if (sim_->IsAlive(msg.to)) {
     NodeChannels& nc = channels_[msg.from];  // pre-sized at Register
     if (nc.last_out < nc.out.size() && nc.out[nc.last_out].peer == msg.to) {
@@ -110,6 +63,7 @@ void Network::Send(Message msg) {
         deliver_at = std::max(deliver_at, it->last_delivery);  // FIFO
         it->last_delivery = deliver_at;
       } else {
+        // Sorted insert; creation is once per distinct channel ever.
         nc.out.insert(it, Channel{msg.to, deliver_at});
         if (!sim_->NoteNewChannelDeferred(msg.to, msg.from)) {
           channels_[msg.to].in_senders.push_back(msg.from);
@@ -118,8 +72,13 @@ void Network::Send(Message msg) {
       }
     }
   }
-  // Service-queue injection after the FIFO clamp, exactly as in the serial
-  // branch above: requests only, never part of the channel's FIFO floor.
+  // Gray-failure injection: extra destination delay (requests only — see
+  // set_node_extra_delay) models the receiver's service queue, applied
+  // AFTER the transport FIFO clamp and excluded from the clamp floor —
+  // responses ride the transport untouched and may overtake queued
+  // requests, so a slow peer's own calls still complete on time.  The
+  // delay only ever pushes delivery later, keeping the lookahead lower
+  // bound valid, and with no delay armed the schedule is unchanged.
   if (!msg.is_response) deliver_at += node_extra_delay(msg.to);
   sim_->ScheduleMessage(deliver_at, std::move(msg));
 }
@@ -155,7 +114,7 @@ void Network::ReleaseNode(NodeId id) {
 
 Simulator::Simulator(uint64_t seed, NetworkOptions net, uint32_t shards)
     : seed_(seed), rng_(seed), network_(this, net), tracer_(seed) {
-  if (shards == 0) return;
+  shards = std::max<uint32_t>(shards, 1);
   // Conservative lookahead: every send delivers at least min_latency in the
   // future, so min_latency bounds how far a window can run without
   // cross-shard effects.  A zero floor would make windows degenerate.
@@ -165,14 +124,12 @@ Simulator::Simulator(uint64_t seed, NetworkOptions net, uint32_t shards)
   for (uint32_t i = 0; i < shards; ++i) {
     auto sc = std::make_unique<ShardCore>();
     sc->index = i;
-    sc->owner = this;
     sc->outbox.resize(shards);
     shards_.push_back(std::move(sc));
   }
-  // A single shard has nothing to overlap with: its windows run inline on
+  // A single core has nothing to overlap with: its windows run inline on
   // the control thread (same schedule — the worker handshake is pure
-  // overhead), which keeps `--shards=1` within the serial engine's
-  // regression band.  Real workers only exist for N > 1.
+  // overhead).  Real workers only exist for N > 1.
   if (shards > 1) {
     for (auto& sc : shards_) {
       sc->thread = std::thread(&Simulator::WorkerMain, this, sc->index);
@@ -211,19 +168,16 @@ void Simulator::At(SimTime t, std::function<void()> fn) {
     return;
   }
   PEPPER_CHECK(t >= now_);
-  if (!sharded()) {
-    queue_.PushClosure(t, std::move(fn));
-    return;
-  }
   PushCtrl(t, std::move(fn));
 }
 
 void Simulator::After(SimTime delay, std::function<void()> fn) {
   ShardCore* sc = tls_shard_;
   if (sc != nullptr) {
-    // Shard context: stays on the executing node's shard, attributed to
-    // that node for seq purposes.  Far-future one-shots park in the shard's
-    // wheel just like the single-threaded engine.
+    // Node context: stays on the executing node's core, attributed to that
+    // node for seq purposes.  Far-future one-shots (workload arrivals, slow
+    // retries) park in the core's wheel so the heap stays shallow for the
+    // near-future message traffic.
     if (delay >= kFarFuture) {
       sc->wheel.Arm(sc->exec_node, sc->now + delay, /*period=*/0,
                     std::move(fn), &sc->queue, SeqOf(sc->exec_node),
@@ -234,30 +188,17 @@ void Simulator::After(SimTime delay, std::function<void()> fn) {
                              sc->exec_node, std::move(fn));
     return;
   }
-  if (!sharded()) {
-    if (delay >= kFarFuture) {
-      // Far-future one-shots (workload arrivals, slow retries) park in the
-      // wheel so the heap stays shallow for the near-future message
-      // traffic; they inject with the seq allocated here, so ordering is
-      // unchanged.
-      wheel_.Arm(kNullNode, now_ + delay, /*period=*/0, std::move(fn),
-                 &queue_, queue_.AllocateSeq(), /*has_guard=*/false);
-      return;
-    }
-    queue_.PushClosure(now_ + delay, std::move(fn));
-    return;
-  }
-  // Sharded control context: control closures (workload drivers, scenario
-  // probes) run at barriers; the control heap is shallow, no wheel needed.
+  // Control context: control closures (workload drivers, scenario probes)
+  // run at barriers; the control heap is shallow, no wheel needed.
   PushCtrl(now_ + delay, std::move(fn));
 }
 
 void Simulator::Defer(std::function<void()> fn) {
   ShardCore* sc = tls_shard_;
   if (sc == nullptr) {
-    // Control context (or single-threaded): the caller already holds the
-    // right to touch cluster-global state — run inline so setup-time code
-    // observes its effects immediately.
+    // Control context: the caller already holds the right to touch
+    // cluster-global state — run inline so setup-time code observes its
+    // effects immediately.
     fn();
     return;
   }
@@ -281,18 +222,9 @@ void Simulator::AfterOnNode(NodeId id, SimTime delay,
                                  std::move(fn));
     return;
   }
-  if (!sharded()) {
-    if (delay >= kFarFuture) {
-      wheel_.Arm(id, now_ + delay, /*period=*/0, std::move(fn), &queue_,
-                 queue_.AllocateSeq());
-      return;
-    }
-    queue_.PushNodeClosure(now_ + delay, id, std::move(fn));
-    return;
-  }
-  // Sharded control context pushing into a shard: clamp one lookahead out
-  // so the target shard — which may already have executed up to the window
-  // edge — never sees an event in its past.  (Same bound every message
+  // Control context pushing into a core: clamp one lookahead out so the
+  // target core — which may already have executed up to the window edge —
+  // never sees an event in its past.  (Same bound every message
   // already obeys.)
   ShardCore& dst = *shards_[ShardOf(id)];
   const SimTime at = now_ + std::max(delay, lookahead_);
@@ -311,20 +243,12 @@ uint32_t Simulator::ArmTimer(NodeId id, SimTime expiry, SimTime period,
     return sc->wheel.Arm(id, expiry, period, std::move(fn), &sc->queue,
                          SeqOf(sc->exec_node));
   }
-  if (!sharded()) {
-    return wheel_.Arm(id, expiry, period, std::move(fn), &queue_,
-                      queue_.AllocateSeq());
-  }
   ShardCore& dst = *shards_[ShardOf(id)];
   const SimTime at = std::max(expiry, now_ + lookahead_);
   return dst.wheel.Arm(id, at, period, std::move(fn), &dst.queue, SeqOf(id));
 }
 
 void Simulator::CancelWheelTimer(NodeId id, uint32_t idx) {
-  if (!sharded()) {
-    wheel_.Cancel(idx);
-    return;
-  }
   // Cancels come from the node's own execution or from control-context
   // teardown (Node::Fail, Unregister) with workers parked — either way the
   // owning shard's wheel is safe to touch.
@@ -334,10 +258,6 @@ void Simulator::CancelWheelTimer(NodeId id, uint32_t idx) {
 }
 
 void Simulator::ScheduleMessage(SimTime deliver_at, Message msg) {
-  if (!sharded()) {
-    queue_.PushMessage(deliver_at, std::move(msg));
-    return;
-  }
   const uint64_t seq = SeqOf(msg.from);
   const uint32_t dest = ShardOf(msg.to);
   ShardCore* sc = tls_shard_;
@@ -365,133 +285,15 @@ bool Simulator::NoteNewChannelDeferred(NodeId to, NodeId from) {
   return true;
 }
 
-// --- single-threaded engine -------------------------------------------------
-
-void Simulator::DrainDueTimers() {
-  while (wheel_.HasSlottedTimers()) {
-    const SimTime slot_start = wheel_.EarliestSlotStart();
-    // The slot start lower-bounds every expiry in the slot, so anything the
-    // queue would run first can safely run first; equality must drain (a
-    // slotted tick can carry an older seq than the queue head).
-    if (!queue_.Empty() && queue_.NextTime() < slot_start) break;
-    wheel_.ProcessEarliestSlot(&queue_);
-  }
-}
-
-bool Simulator::PeekNextTime(SimTime* t) {
-  DrainDueTimers();
-  if (queue_.Empty()) return false;
-  *t = queue_.NextTime();
-  return true;
-}
-
-void Simulator::ExecuteTimerFire(uint32_t idx) {
-  {
-    TimerWheel::Timer& t = wheel_.timer(idx);
-    if (t.canceled) {
-      wheel_.Free(idx);
-      return;
-    }
-    if (!t.has_guard) {
-      // Unguarded one-shot (plain Simulator::After parked in the wheel):
-      // runs regardless of node state.
-      BeginEventContext(now_, t.node);
-      std::function<void()> fn = std::move(t.fn);
-      fn();
-      wheel_.Free(idx);
-      return;
-    }
-    Node* n = node(t.node);
-    if (n == nullptr || !n->alive()) {
-      wheel_.Free(idx);
-      return;
-    }
-    BeginEventContext(now_, t.node);
-  }
-  // Run the callback from a local: it may arm new timers and grow the wheel
-  // pool, which would invalidate any reference (or SBO buffer) inside it.
-  std::function<void()> fn = std::move(wheel_.timer(idx).fn);
-  fn();
-  TimerWheel::Timer& t = wheel_.timer(idx);  // re-lookup after execution
-  Node* n = node(t.node);
-  // period == 0 marks a one-shot record (RPC timeouts, far-future After
-  // closures): fire once, free.
-  if (t.period == 0 || t.canceled || n == nullptr || !n->alive()) {
-    wheel_.Free(idx);
-    return;
-  }
-  t.fn = std::move(fn);
-  wheel_.Rearm(idx, now_ + t.period, &queue_, queue_.AllocateSeq());
-}
-
-bool Simulator::Step() {
-  if (sharded()) {
-    // One whole lookahead window: finer-grained stepping would expose
-    // mid-window interleavings that differ across shard counts.
-    return AdvanceWindow(kNoEvent - 1);
-  }
-  SimTime next;
-  if (!PeekNextTime(&next)) return false;
-  ExecuteNext(next);
-  return true;
-}
-
-void Simulator::ExecuteNext(SimTime next) {
-  now_ = std::max(now_, next);
-  Event ev = queue_.PopEvent();
-  ++events_executed_;
-  switch (ev.kind) {
-    case EventKind::kClosure:
-      BeginEventContext(now_, kNullNode);
-      ev.fn();
-      break;
-    case EventKind::kNodeClosure: {
-      // The closure only runs if the node is still registered (ids are
-      // never reused) and alive, so callbacks cannot touch a destroyed or
-      // failed node — the guard the old per-call wrapper lambda enforced.
-      Node* n = node(ev.node);
-      if (n != nullptr && n->alive()) {
-        BeginEventContext(now_, ev.node);
-        ev.fn();
-      }
-      break;
-    }
-    case EventKind::kMessage: {
-      Node* target = node(ev.msg.to);
-      if (target != nullptr && target->alive()) {  // fail-stop drop
-        BeginEventContext(now_, ev.msg.to);
-        target->Deliver(ev.msg);
-      }
-      break;
-    }
-    case EventKind::kTimerFire:
-      ExecuteTimerFire(ev.timer_idx);
-      break;
-    case EventKind::kFree:
-      PEPPER_CHECK(false);
-      break;
-  }
-}
+bool Simulator::Step() { return AdvanceWindow(kNoEvent - 1); }
 
 void Simulator::RunUntil(SimTime t) {
-  if (sharded()) {
-    while (AdvanceWindow(t)) {
-    }
-    now_ = std::max(now_, t);
-    return;
-  }
-  SimTime next;
-  while (PeekNextTime(&next) && next <= t) {
-    ExecuteNext(next);
+  while (AdvanceWindow(t)) {
   }
   now_ = std::max(now_, t);
-  // Code running between RunUntil calls (probes, drivers) is not an event;
-  // a stale prefix would mislabel its log lines.
-  ClearSimLogContext();
-  trace::Tracer::Clear();
 }
 
-// --- sharded engine ----------------------------------------------------------
+// --- windows -----------------------------------------------------------------
 
 void Simulator::PushCtrl(SimTime at, std::function<void()> fn) {
   ctrl_heap_.push_back(CtrlItem{at, CtrlRank(), std::move(fn)});
@@ -499,10 +301,11 @@ void Simulator::PushCtrl(SimTime at, std::function<void()> fn) {
 }
 
 SimTime Simulator::ShardPeekNext(ShardCore& sc) {
-  // Exact earliest pending time: drain every due wheel slot into the queue
-  // first, exactly like the single-threaded DrainDueTimers.  Slot lower
-  // bounds would depend on cursor position — a partition-dependent value —
-  // and shift window placement across shard counts.
+  // Exact earliest pending time: drain every wheel slot due at or before
+  // the queue head into the queue first (equality must drain — a slotted
+  // tick can carry an older seq than the queue head).  Slot lower bounds
+  // would depend on cursor position — a partition-dependent value — and
+  // shift window placement across shard counts.
   for (;;) {
     while (sc.wheel.HasSlottedTimers()) {
       const SimTime slot_start = sc.wheel.EarliestSlotStart();
@@ -572,12 +375,12 @@ void Simulator::ExecuteShardTimerFire(ShardCore& sc, uint32_t idx) {
 void Simulator::ExecuteShardNext(ShardCore& sc) {
   Event ev = sc.queue.PopEvent();
   sc.now = std::max(sc.now, ev.at);
-  // Unlike the single-threaded engine, only events whose action runs are
-  // counted.  Fizzled pops (canceled timers, guard drops) depend on how far
-  // the wheel happened to be drained into the queue at cancel time — a
-  // function of the local queue head, the one partition-dependent quantity
-  // in the engine — so counting them would make `sim.events` vary with the
-  // shard count while every protocol-visible number stays identical.
+  // Only events whose action runs are counted.  Fizzled pops (canceled
+  // timers, guard drops) depend on how far the wheel happened to be drained
+  // into the queue at cancel time — a function of the local queue head, the
+  // one partition-dependent quantity in the engine — so counting them would
+  // make `sim.events` vary with the shard count while every
+  // protocol-visible number stays identical.
   switch (ev.kind) {
     case EventKind::kClosure:
       sc.exec_node = ev.node;  // origin attribution, no guard
@@ -747,19 +550,17 @@ NodeId Simulator::Register(Node* node) {
   nodes_.push_back(node);
   const NodeId id = static_cast<NodeId>(nodes_.size() - 1);
   tracer_.OnRegister(id);
-  if (sharded()) {
-    PEPPER_CHECK(tls_shard_ == nullptr);  // construction is control-only
-    slots_.emplace_back();
-    // Seed-derived per-node stream: draw order is a per-node property, so
-    // it cannot depend on the shard partition.
-    slots_[id].rng = Rng(seed_ ^ (0x9e3779b97f4a7c15ULL * (id + 1)));
-    network_.EnsureChannelCapacity(nodes_.size());
-  }
+  PEPPER_CHECK(tls_shard_ == nullptr);  // construction is control-only
+  slots_.emplace_back();
+  // Seed-derived per-node stream: draw order is a per-node property, so it
+  // cannot depend on the shard partition.
+  slots_[id].rng = Rng(seed_ ^ (0x9e3779b97f4a7c15ULL * (id + 1)));
+  network_.channels_.resize(nodes_.size());
   return id;
 }
 
 void Simulator::Unregister(NodeId id) {
-  if (sharded()) PEPPER_CHECK(tls_shard_ == nullptr);  // teardown at control
+  PEPPER_CHECK(tls_shard_ == nullptr);  // teardown at control
   if (id < nodes_.size()) nodes_[id] = nullptr;
   network_.ReleaseNode(id);
 }
@@ -775,7 +576,6 @@ bool Simulator::IsAlive(NodeId id) const {
 }
 
 uint64_t Simulator::events_executed() const {
-  if (!sharded()) return events_executed_;
   uint64_t total = ctrl_events_;
   for (const auto& sc : shards_) total += sc->events;
   return total;

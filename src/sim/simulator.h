@@ -43,9 +43,8 @@ class Network {
   const NetworkOptions& options() const { return options_; }
   void set_options(NetworkOptions options) { options_ = options; }
   // Incremented on every Send — one-way messages, requests and replies all
-  // funnel through Network::Send.  Counted per metrics lane so sharded
-  // workers never contend; the read aggregates (single-threaded runs only
-  // ever touch lane 0).
+  // funnel through Network::Send.  Counted per metrics lane so worker
+  // threads never contend; the read aggregates.
   uint64_t messages_sent() const {
     uint64_t total = 0;
     for (uint64_t lane : messages_sent_) total += lane;
@@ -68,7 +67,7 @@ class Network {
   // the slow peer's own calls still succeed and nobody else is implicated.
   // Only ever ADDS latency on top of the (FIFO-clamped) drawn base, so the
   // conservative lookahead (min_latency) stays a safe lower bound and the
-  // sharded schedule stays valid; the delay is excluded from the channel's
+  // windowed schedule stays valid; the delay is excluded from the channel's
   // FIFO floor — a queued request must never drag later transport traffic
   // (in particular the victim's own replies) behind it.  No RNG stream is
   // touched, so the injection is deterministic.  Set from the control
@@ -90,15 +89,9 @@ class Network {
   // and sends *to* it stop being recorded).  Ids are never reused, so
   // without this long churn runs grow the bookkeeping with one entry per
   // channel every dead peer ever used.  O(channels of `id`) via the
-  // inbound-sender index, not a full scan.  Control-context only in
-  // sharded mode (it touches every shard's tables).
+  // inbound-sender index, not a full scan.  Control-context only (it
+  // touches every core's tables).
   void ReleaseNode(NodeId id);
-
-  // Sharded mode pre-sizes the per-node tables at Register so shard
-  // workers never trigger a resize.
-  void EnsureChannelCapacity(size_t n) {
-    if (channels_.size() < n) channels_.resize(n);
-  }
 
   // Per-node flat channel tables, indexed by the dense NodeId.  `out` is
   // kept sorted by peer id: lookup is a binary search over a contiguous
@@ -110,10 +103,10 @@ class Network {
   // the sends crossing it.  The old nested unordered_map<from,
   // unordered_map<to, SimTime>> cost two hash lookups per send.
   //
-  // Sharded-mode ownership: channels_[n] is touched only by n's shard
-  // worker during a window (nodes send only from their own execution) and
-  // by the control thread at barriers; the exception is the inbound-sender
-  // index of a *remote* node, whose append is deferred to the barrier (see
+  // Ownership: channels_[n] is touched only by n's core during a window
+  // (nodes send only from their own execution) and by the control thread
+  // at barriers; the exception is the inbound-sender index of a *remote*
+  // node, whose append is deferred to the barrier (see
   // Simulator::NoteNewChannelDeferred).
   struct Channel {
     NodeId peer;
@@ -128,6 +121,7 @@ class Network {
   Simulator* sim_;
   NetworkOptions options_;
   std::array<uint64_t, kMaxMetricLanes> messages_sent_{};
+  // Sized at Register, so never resized while worker threads run.
   std::vector<NodeChannels> channels_;
   std::atomic<size_t> channel_count_{0};
   // Per-destination gray-failure delay; empty (the common case) costs one
@@ -146,24 +140,33 @@ class Network {
 // and the TimerWheel pool; only generic At/After closures still engage a
 // std::function.
 //
-// --- Sharded mode (shards > 0) ---------------------------------------------
+// There is one engine, and its schedule does not depend on how the nodes
+// are partitioned.  Nodes are split across `shards` engine cores by dense
+// NodeId (id % shards); each core owns a private EventQueue arena,
+// TimerWheel and the per-node RNG streams of its nodes.  The cores run in
+// lock-step windows bounded by the conservative lookahead
+// L = max(min_latency, 1): every message sent at time t delivers at
+// t + latency >= t + L, so a window [m, e) with m = the exact global minimum
+// next-event time and e = min(m + L, bound+1) can execute on all cores in
+// parallel — nothing that happens inside the window can affect another node
+// before e.  Cross-core sends land in per-(src, dst) outboxes merged into
+// the destination queue at the barrier; every event carries a composite seq
+// ((origin NodeId + 1) << 40 | per-origin counter), so the (time, seq) order
+// — and therefore the entire run — is bit-identical for any shard count.
+// `shards` 0 and 1 both mean one core whose windows run inline on the
+// control thread; N > 1 runs each core on its own worker thread.
 //
-// Nodes are partitioned across `shards` worker threads by dense NodeId
-// (id % shards); each shard owns a private EventQueue arena, TimerWheel and
-// per-node RNG streams, and the shards run in lock-step windows bounded by
-// the conservative lookahead L = max(min_latency, 1): every message sent at
-// time t delivers at t + latency >= t + L, so a window [m, e) with
-// m = the exact global minimum next-event time and e = min(m + L, bound+1)
-// can execute on all shards in parallel — nothing that happens inside the
-// window can affect another node before e.  Cross-shard sends land in
-// per-(src, dst) outboxes merged into the destination queue at the barrier;
-// every event carries a composite seq ((origin NodeId + 1) << 40 | per-origin
-// counter), so the (time, seq) order — and therefore the entire run — is
-// bit-identical for any shard count.  Control work (nodeless closures,
-// Defer()ed cross-node state changes, node construction/failure) runs
-// single-threadedly at the barriers, stamped and ordered by (time, rank).
-// Single-threaded mode (shards == 0, the default) is byte-for-byte the
-// pre-sharding engine.
+// Work that is not a node's own execution — nodeless closures, Defer()ed
+// cluster-global state changes, node construction and failure — runs in
+// the control context, single-threaded, at the window barriers.  Two rules
+// follow, and every caller sees them:
+//   1. A control-context At/After closure, and Defer()ed work, runs at the
+//      barrier of the window it falls in — after that window's node events —
+//      ordered by (time, rank).
+//   2. Anything the control context schedules onto a node (PostToNode,
+//      Node::After, timers armed by Node::Every or Call) lands at least one
+//      lookahead after the control clock, since the node's core may already
+//      have executed up to the window edge.
 class Simulator {
  public:
   // One-shot delays at or beyond this park in the timer wheel instead of
@@ -176,17 +179,16 @@ class Simulator {
   // paper-scale runs execute ~1e8 events).
   static constexpr int kSeqBits = 40;
 
+  // `shards` 0 and 1 are the same engine: one core, run inline.
   explicit Simulator(uint64_t seed, NetworkOptions net = NetworkOptions(),
                      uint32_t shards = 0);
   ~Simulator();
 
-  bool sharded() const { return !shards_.empty(); }
   uint32_t shard_count() const { return static_cast<uint32_t>(shards_.size()); }
   SimTime lookahead() const { return lookahead_; }
 
-  // Current virtual time of the calling context: a shard worker sees its
-  // shard clock, everyone else the control clock (== the single-threaded
-  // clock when not sharded).
+  // Current virtual time of the calling context: inside a node's event the
+  // clock of its core, everywhere else the control clock.
   SimTime now() const;
 
   void At(SimTime t, std::function<void()> fn);
@@ -194,27 +196,26 @@ class Simulator {
 
   // Runs `fn` in the control context, where cluster-global state (oracle,
   // free-peer pool, driver bookkeeping) is safe to touch: immediately when
-  // called from control or in single-threaded mode, at the next window
-  // barrier — ordered by (shard time, origin seq) — when called from a
-  // shard worker.
+  // called from control, at the next window barrier — ordered by (core
+  // time, origin seq) — when called from a node's event.
   void Defer(std::function<void()> fn);
   // Schedules `fn` on `id`'s execution context (alive-guarded), from the
-  // control context; lands one lookahead window out in sharded mode.
+  // control context; lands one lookahead out.
   void PostToNode(NodeId id, std::function<void()> fn) {
     AfterOnNode(id, 0, std::move(fn));
   }
 
-  // Executes the next event — a whole lookahead window in sharded mode
-  // (finer steps would expose mid-window states that differ across shard
-  // counts) — and returns false if nothing is scheduled.
+  // Executes one whole lookahead window (finer steps would expose
+  // mid-window states that differ across shard counts) and returns false
+  // if nothing is scheduled.
   bool Step();
   void RunFor(SimTime duration) { RunUntil(now() + duration); }
   void RunUntil(SimTime t);
 
-  // Calling context's RNG: the per-node stream of the executing node on a
-  // shard worker, the global control stream otherwise.  Sharded runs give
-  // every node its own seed-derived stream so draw order is a per-node
-  // property, invariant under the partition.
+  // Calling context's RNG: the per-node stream of the executing node inside
+  // a node's event, the control stream otherwise.  Every node has its own
+  // seed-derived stream, so draw order is a per-node property, invariant
+  // under the partition.
   Rng& rng();
   Network& network() { return network_; }
   Counters& counters() { return counters_; }
@@ -242,22 +243,21 @@ class Simulator {
   size_t num_registered() const { return nodes_.size(); }
 
   // Total events executed (messages, ticks, closures); deterministic for a
-  // given seed — and, sharded, for any shard count — and the numerator of
-  // the scenario runner's events/sec.
+  // given seed and any shard count, and the numerator of the scenario
+  // runner's events/sec.
   uint64_t events_executed() const;
-  // Single-threaded-engine introspection (bench/event_core tests).
-  const EventQueue& queue() const { return queue_; }
-  const TimerWheel& wheel() const { return wheel_; }
+  // Per-core introspection (bench/event_core tests).
+  const EventQueue& shard_queue(uint32_t i) const { return shards_[i]->queue; }
+  const TimerWheel& shard_wheel(uint32_t i) const { return shards_[i]->wheel; }
 
  private:
   friend class Network;
   friend class Node;
 
-  // One shard: a complete single-threaded simulator core over the subset
-  // of nodes with id % shards == index, plus the cross-shard plumbing.
+  // One engine core: a complete single-threaded simulator over the subset
+  // of nodes with id % shards == index, plus the cross-core plumbing.
   struct ShardCore {
     uint32_t index = 0;
-    Simulator* owner = nullptr;
     EventQueue queue;
     TimerWheel wheel;
     SimTime now = 0;
@@ -329,16 +329,6 @@ class Simulator {
   bool NoteNewChannelDeferred(NodeId to, NodeId from);
   Rng& SlotRng(NodeId id) { return slots_[id].rng; }
 
-  // --- single-threaded engine ---
-  // Moves every wheel slot due at or before the queue head into the queue,
-  // so the heap top is the globally earliest event by (time, seq).
-  void DrainDueTimers();
-  bool PeekNextTime(SimTime* t);
-  // Pops and runs the queue head (caller already drained and peeked).
-  void ExecuteNext(SimTime next);
-  void ExecuteTimerFire(uint32_t idx);
-
-  // --- sharded engine ---
   uint32_t ShardOf(NodeId id) const {
     return id % static_cast<uint32_t>(shards_.size());
   }
@@ -365,23 +355,20 @@ class Simulator {
 
   static constexpr SimTime kNoEvent = ~SimTime{0};
 
-  // Execution-context marker: the worker thread's own ShardCore, null on
-  // the control thread and in single-threaded mode.
+  // Execution-context marker: the core whose window is running on this
+  // thread (a worker's own core, or the inline core while its window runs),
+  // null in the control context.
   static thread_local ShardCore* tls_shard_;
 
   uint64_t seed_;
-  SimTime now_ = 0;  // control clock in sharded mode
-  EventQueue queue_;
-  TimerWheel wheel_;
-  Rng rng_;
+  SimTime now_ = 0;  // control clock
+  Rng rng_;          // control-context stream
   Network network_;
   Counters counters_;
   trace::Tracer tracer_;
   TelemetrySink* telemetry_sink_ = nullptr;
-  uint64_t events_executed_ = 0;
   std::vector<Node*> nodes_;  // index == NodeId; nullptr when destroyed
 
-  // Sharded-mode state (empty / unused when shards == 0).
   std::vector<std::unique_ptr<ShardCore>> shards_;
   std::vector<NodeSlot> slots_;  // per-node rng + seq counter
   SimTime lookahead_ = 0;
@@ -393,7 +380,7 @@ class Simulator {
 // Wraps a callback so its body runs in the simulator's control context (see
 // Simulator::Defer); completion callbacks that touch cluster-global state
 // (oracle, workload bookkeeping) from protocol code use this to stay
-// deterministic under sharding.  Arguments are captured by value.
+// deterministic at any shard count.  Arguments are captured by value.
 template <typename F>
 auto DeferredCallback(Simulator* sim, F fn) {
   return [sim, fn = std::move(fn)](auto... args) {

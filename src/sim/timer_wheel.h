@@ -27,9 +27,8 @@ namespace pepper::sim {
 // Determinism contract: a timer carries the (expiry, seq) it was armed
 // with; when its slot comes due the record is injected into the EventQueue
 // with exactly that key, so ticks interleave with same-instant messages and
-// closures in global insertion order — identical tie-breaking to pushing
-// the tick into the queue at arm time, which is what the pre-wheel core
-// did.  The wheel itself never compares anything but times, so its
+// closures in (at, seq) order — identical tie-breaking to pushing the tick
+// into the queue at arm time.  The wheel itself never compares anything but times, so its
 // behavior is a pure function of the arm/cancel call sequence.
 //
 // Cancellation is lazy: Cancel marks the record and the mark is honored
@@ -71,8 +70,7 @@ class TimerWheel {
   // observed at fire/slot time).  If expiry is not in the future relative
   // to the wheel cursor the fire event is injected into `queue` directly.
   // `seq` is the (at, seq) tie-break key the fire will carry — the caller
-  // allocates it (queue->AllocateSeq() single-threaded, composite
-  // per-origin seqs sharded) so the wheel works for both schemes.
+  // allocates it (the simulator's composite per-origin seq).
   uint32_t Arm(NodeId node, SimTime expiry, SimTime period,
                std::function<void()> fn, EventQueue* queue, uint64_t seq,
                bool has_guard = true);

@@ -24,7 +24,7 @@ using sim::SimTime;
 //     windowed view is bit-identical across shard counts.
 //   * All values are unsigned integer event counts.  Integer addition is
 //     exactly associative and commutative, so any partition of the writers
-//     (1 shard, 4 shards, serial) merges to the same totals — the same
+//     (1 shard, 4 shards) merges to the same totals — the same
 //     argument that keeps laned Counters and ExactSum shard-invariant.
 //
 // Storage discipline:

@@ -88,9 +88,10 @@ Cluster::Cluster(ClusterOptions options)
   if (monitor_ != nullptr) {
     sim_->set_telemetry_sink(monitor_.get());
   }
-  if (options_.shards > 0) {
-    // Shard workers record latencies and counters into per-thread lanes;
-    // pre-allocate them before any worker touches a histogram.
+  if (sim_->shard_count() > 1) {
+    // Worker threads record latencies into per-thread lanes; pre-allocate
+    // them before any worker touches a histogram.  (One core runs on the
+    // control thread, where a lane-less histogram is already race-free.)
     metrics_.EnableConcurrentLanes();
   }
   if (options_.trace) {

@@ -34,9 +34,10 @@ struct PeerStack {
 
 struct ClusterOptions {
   uint64_t seed = 42;
-  // 0 = single-threaded simulator; N > 0 partitions the nodes across N
-  // worker shards under conservative-lookahead windows.  Results (CSV,
-  // counters, audits) are bit-identical for any N >= 1 at a given seed.
+  // Engine cores the nodes are partitioned across.  0 and 1 both run one
+  // core inline on the calling thread; N > 1 runs N worker threads under
+  // conservative-lookahead windows.  Results (CSV, counters, audits) are
+  // bit-identical for every value at a given seed.
   uint32_t shards = 0;
   sim::NetworkOptions net;
   ring::RingOptions ring;
@@ -63,7 +64,7 @@ struct ClusterOptions {
   // Windowed telemetry (telemetry/load_monitor.h).  Off by default; like
   // tracing, enabling it never shifts the event schedule (the hooks consume
   // no randomness, no timers, no deferred events), so the same seed replays
-  // bit-identically with telemetry off or on, serial or sharded.
+  // bit-identically with telemetry off or on, at any shard count.
   bool telemetry = false;
   sim::SimTime telemetry_window = 5 * sim::kSecond;
   size_t telemetry_ring_capacity = 128;

@@ -95,7 +95,9 @@ TEST(ProtocolComponentTest, ComponentTimersCancelledOnDestruction) {
   int observed = 0;
   {
     AttachedLayer upper(host.node());
-    sim.RunFor(550);
+    // Armed from the control context, so the first tick lands one
+    // lookahead out; then one tick per 100 us.
+    sim.RunFor(sim.lookahead() + 450);
     observed = upper.ticks;
     EXPECT_EQ(observed, 5);
   }  // upper destroyed; its periodic timer must stop, host stays alive

@@ -43,18 +43,22 @@ TEST(EventPoolTest, TieBreakSurvivesPoolRecycling) {
 }
 
 TEST(EventPoolTest, SteadyStateReusesArenaSlots) {
+  // Node events live in the engine core's arena (control closures use the
+  // barrier heap), so the chain reschedules itself from node context.
   Simulator sim(1);
+  Node node(&sim);
   int count = 0;
   std::function<void()> chain = [&]() {
-    if (++count < 10000) sim.After(10, chain);
+    if (++count < 10000) node.After(10, chain);
   };
-  sim.After(10, chain);
-  sim.RunFor(20);  // warm up
-  const size_t cap = sim.queue().pool_capacity();
-  sim.RunFor(1000 * 1000);
+  sim.PostToNode(node.id(), chain);
+  sim.RunFor(kMillisecond);  // warm up: the post lands one lookahead out
+  ASSERT_GT(count, 0);
+  const size_t cap = sim.shard_queue(0).pool_capacity();
+  sim.RunFor(kSecond);
   EXPECT_EQ(count, 10000);
   // One self-rescheduling closure: the arena must not have grown.
-  EXPECT_EQ(sim.queue().pool_capacity(), cap);
+  EXPECT_EQ(sim.shard_queue(0).pool_capacity(), cap);
 }
 
 TEST(EventPoolTest, PopMovesEventOutOfThePool) {
@@ -94,6 +98,20 @@ class TickRecorder : public Node {
   std::vector<SimTime> fires;
 };
 
+// Runs `fn` on `node`'s execution context and returns the instant it ran,
+// leaving the control clock there.  Timers armed from the control context
+// first fire at least one lookahead out, so the tests that pin exact wheel
+// instants arm from the node itself.
+SimTime OnNode(Simulator& sim, Node& node, std::function<void()> fn) {
+  SimTime at = 0;
+  sim.PostToNode(node.id(), [&sim, &at, fn = std::move(fn)] {
+    at = sim.now();
+    fn();
+  });
+  sim.RunFor(sim.lookahead());
+  return at;
+}
+
 TEST(TimerWheelTest, ExactPeriodsAcrossWheelLevels) {
   // Periods spanning level 0 (< 64us) up to level 3+ (> 64^3 us), armed
   // with the cursor away from zero.  Every fire must land exactly at
@@ -101,7 +119,6 @@ TEST(TimerWheelTest, ExactPeriodsAcrossWheelLevels) {
   Simulator sim(1);
   TickRecorder node(&sim);
   sim.RunFor(777777);
-  const SimTime t0 = sim.now();
   struct Rec {
     SimTime period;
     SimTime initial;
@@ -114,12 +131,14 @@ TEST(TimerWheelTest, ExactPeriodsAcrossWheelLevels) {
                     SimTime{5 * 1000 * 1000}}) {
     recs.push_back(Rec{p, p / 3 + 1, {}});
   }
-  for (auto& r : recs) {
-    node.Every(
-        r.period, [&r, &sim] { r.fires.push_back(sim.now()); }, r.initial);
-  }
+  const SimTime t0 = OnNode(sim, node, [&] {
+    for (auto& r : recs) {
+      node.Every(
+          r.period, [&r, &sim] { r.fires.push_back(sim.now()); }, r.initial);
+    }
+  });
   const SimTime horizon = 20 * 1000 * 1000;
-  sim.RunFor(horizon);
+  sim.RunUntil(t0 + horizon);
   for (const auto& r : recs) {
     size_t k = 0;
     for (SimTime expect = t0 + r.initial; expect <= t0 + horizon;
@@ -137,19 +156,22 @@ TEST(TimerWheelTest, BeyondHorizonDelaysFireExactly) {
   // cursor's own top-level slot, which the boundary rule immediately
   // re-processed — Step() span forever on any After() >= the horizon armed
   // with the cursor on a top-slot boundary (e.g. time 0).
+  // Armed from node context; the core's wheel cursor is still at 0.
   Simulator sim(1);
   TickRecorder node(&sim);
   const SimTime horizon = SimTime{1} << 36;
   std::vector<SimTime> fired;
-  sim.After(horizon + 5, [&] { fired.push_back(sim.now()); });   // unguarded
-  node.After(horizon + 7, [&] { fired.push_back(sim.now()); });  // guarded
   int ticks = 0;
-  node.Every(horizon + 11, [&] { ++ticks; }, horizon + 11);
+  const SimTime t0 = OnNode(sim, node, [&] {
+    sim.After(horizon + 5, [&] { fired.push_back(sim.now()); });  // unguarded
+    node.After(horizon + 7, [&] { fired.push_back(sim.now()); });  // guarded
+    node.Every(horizon + 11, [&] { ++ticks; }, horizon + 11);
+  });
   sim.RunFor(2 * horizon + 100);
   ASSERT_EQ(fired.size(), 2u);
-  EXPECT_EQ(fired[0], horizon + 5);
-  EXPECT_EQ(fired[1], horizon + 7);
-  EXPECT_EQ(ticks, 2);  // horizon+11 and 2*horizon+22
+  EXPECT_EQ(fired[0], t0 + horizon + 5);
+  EXPECT_EQ(fired[1], t0 + horizon + 7);
+  EXPECT_EQ(ticks, 2);  // t0+horizon+11 and t0+2*horizon+22
 }
 
 TEST(TimerWheelTest, CancelFromInsideOwnTick) {
@@ -176,14 +198,16 @@ TEST(TimerWheelTest, CancelOtherTimerDueAtSameInstant) {
   int a_ticks = 0;
   int b_ticks = 0;
   uint64_t b_id = 0;
-  node.Every(
-      100,
-      [&] {
-        ++a_ticks;
-        node.CancelTimer(b_id);
-      },
-      100);
-  b_id = node.Every(100, [&] { ++b_ticks; }, 100);
+  OnNode(sim, node, [&] {
+    node.Every(
+        100,
+        [&] {
+          ++a_ticks;
+          node.CancelTimer(b_id);
+        },
+        100);
+    b_id = node.Every(100, [&] { ++b_ticks; }, 100);
+  });
   sim.RunFor(250);
   EXPECT_EQ(a_ticks, 2);
   EXPECT_EQ(b_ticks, 0);
@@ -194,11 +218,13 @@ TEST(TimerWheelTest, CancelThenReArmIsAFreshTimer) {
   TickRecorder node(&sim);
   int first = 0;
   int second = 0;
-  const uint64_t id = node.Every(100, [&] { ++first; }, 100);
+  uint64_t id = 0;
+  uint64_t id2 = 0;
+  OnNode(sim, node, [&] { id = node.Every(100, [&] { ++first; }, 100); });
   sim.RunFor(350);
   EXPECT_EQ(first, 3);
-  node.CancelTimer(id);
-  const uint64_t id2 = node.Every(100, [&] { ++second; }, 100);
+  node.CancelTimer(id);  // immediate, from the control context
+  OnNode(sim, node, [&] { id2 = node.Every(100, [&] { ++second; }, 100); });
   EXPECT_NE(id, id2);
   sim.RunFor(300);
   EXPECT_EQ(first, 3);  // canceled stays canceled
@@ -213,18 +239,20 @@ TEST(TimerWheelTest, TickSurvivesWheelPoolGrowth) {
   TickRecorder node(&sim);
   int ticks = 0;
   bool grown = false;
-  node.Every(
-      100,
-      [&] {
-        ++ticks;
-        if (!grown) {
-          grown = true;
-          for (int i = 0; i < 4096; ++i) {
-            node.Every(50000 + i, [] {}, 40000 + i);
+  OnNode(sim, node, [&] {
+    node.Every(
+        100,
+        [&] {
+          ++ticks;
+          if (!grown) {
+            grown = true;
+            for (int i = 0; i < 4096; ++i) {
+              node.Every(50000 + i, [] {}, 40000 + i);
+            }
           }
-        }
-      },
-      100);
+        },
+        100);
+  });
   sim.RunFor(1000);
   EXPECT_EQ(ticks, 10);
 }
@@ -252,7 +280,7 @@ TEST(TimerWheelTest, RpcTimeoutRecordsAreCanceledByReplies) {
   EXPECT_EQ(timeouts, 0);
   // All timeout records were canceled on reply; none is still live (the
   // canceled records themselves recycle lazily as their slots come due).
-  EXPECT_EQ(sim.wheel().live_count(), 0u);
+  EXPECT_EQ(sim.shard_wheel(0).live_count(), 0u);
 }
 
 TEST(NetworkTablesTest, ChannelTablesTornDownOnUnregister) {
@@ -309,23 +337,30 @@ TEST(NetworkTablesTest, ManyPeersKeepFifoPerChannel) {
 }
 
 TEST(NetworkTest, FixedLatencyModeSkipsRngDraws) {
-  // min_latency == max_latency must not consume RNG state: the stream
-  // position after N sends matches a run that sent nothing.  (The RNG
-  // stream position is part of the determinism contract — see
-  // Network::Send — so this fast path is pinned by a test.)
+  // min_latency == max_latency must not consume RNG state: the sender's
+  // per-node stream position after N sends matches a run that sent
+  // nothing.  (The RNG stream position is part of the determinism contract
+  // — see Network::Send — so this fast path is pinned by a test.)
   struct P : Payload {};
+  // Next draw of `a`'s per-node stream after `a` sent `sends` messages.
+  auto next_draw = [](NetworkOptions net, int sends) {
+    Simulator sim(123, net);
+    Node a(&sim), b(&sim);
+    b.On<P>([](const Message&, const P&) {});
+    for (int i = 0; i < sends; ++i) a.Send(b.id(), std::make_shared<P>());
+    sim.RunFor(kSecond);
+    uint64_t draw = 0;
+    sim.PostToNode(a.id(), [&] { draw = sim.rng().Next(); });
+    sim.RunFor(kSecond);
+    return draw;
+  };
   NetworkOptions fixed;
   fixed.min_latency = kMillisecond;
   fixed.max_latency = kMillisecond;
-  Simulator active(123, fixed);
-  Simulator idle(123, fixed);
-  {
-    Node a(&active), b(&active);
-    b.On<P>([](const Message&, const P&) {});
-    for (int i = 0; i < 50; ++i) a.Send(b.id(), std::make_shared<P>());
-    active.RunFor(kSecond);
-  }
-  EXPECT_EQ(active.rng().Next(), idle.rng().Next());
+  EXPECT_EQ(next_draw(fixed, 50), next_draw(fixed, 0));
+  // The probe does see the stream: variable latency draws once per send.
+  NetworkOptions variable;
+  EXPECT_NE(next_draw(variable, 50), next_draw(variable, 0));
 }
 
 TEST(PayloadPoolTest, MakePayloadReusesFreedBlocksAtSteadyState) {

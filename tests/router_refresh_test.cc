@@ -5,6 +5,8 @@
 //   * `router.lookups` counts user calls, `router.attempts` counts attempts,
 //   * a dead forwarding hop is counted (`router.fwd_dead_end`) and the ring
 //     is re-consulted before the lookup dead-ends,
+//   * a hop that has left the ring refuses a forward, and the sender
+//     reroutes at once instead of waiting for the initiator's retry,
 //   * refresh replies landing after the hierarchy was cleared/truncated must
 //     not re-grow it (both the batched GetLevels and legacy GetEntry paths),
 //   * the batched refresh cadence backs off while the ring is stable and
@@ -109,19 +111,58 @@ void Populate(Cluster& c, int n_items, uint64_t seed) {
   c.RunFor(5 * sim::kSecond);
 }
 
+// Drives `via`'s lookup of `key` to completion (or `budget` of simulated
+// time) and returns its status.
+Status LookupFrom(Cluster& c, PeerStack* via, Key key, sim::SimTime budget) {
+  struct R {
+    bool done = false;
+    Status status = Status::Internal("pending");
+  };
+  auto res = std::make_shared<R>();
+  via->router->Lookup(key, [res](const Status& s, sim::NodeId, int) {
+    res->done = true;
+    res->status = s;
+  });
+  const sim::SimTime give_up = c.sim().now() + budget;
+  while (!res->done && c.sim().now() < give_up) {
+    if (!c.sim().Step()) break;
+  }
+  return res->status;
+}
+
+// Refresh passes driven explicitly (the cluster's own refresh timers are
+// parked an hour out), so hierarchies only change when a test says so.
+void BuildHierarchies(Cluster& c) {
+  for (int round = 0; round < 8; ++round) {
+    for (PeerStack* p : c.LiveMembers()) {
+      auto* hrf = dynamic_cast<router::HrfRouter*>(p->router.get());
+      ASSERT_NE(hrf, nullptr);
+      hrf->refresh_now_for_test();
+    }
+    c.RunFor(sim::kSecond);
+  }
+}
+
 TEST(RouterDeadEndTest, DeadForwardHopIsCountedAndLookupStillCompletes) {
+  // Kill the owner of the probe key and look it up immediately through the
+  // owner's ring predecessor: the forward goes to the dead owner and times
+  // out after 4 ping timeouts (80 ms).  Failure detection is slowed to a
+  // 2 s ping cadence, so the ring fallback still reports the same (not yet
+  // repaired) successor — the dead end the counter must see — unless a ping
+  // happens to land in those 80 ms (a few percent of seeds; not this one).
+  // The initiator-side retries then complete the lookup once the ring has
+  // repaired and the successor has taken over.
   ClusterOptions o = ClusterOptions::FastDefaults();
   o.seed = 91;
+  o.ring.ping_period = 2 * sim::kSecond;
+  o.ring.stabilization_period = 4 * sim::kSecond;
+  o.ring.pred_ttl = 8 * sim::kSecond;
+  o.router.max_retries = 60;  // the retries span repair and takeover
   Cluster c(o);
   Populate(c, 150, 31);
   auto members = c.LiveMembers();
   ASSERT_GE(members.size(), 10u);
 
-  // Kill the owner of the probe key and look it up immediately through the
-  // owner's ring predecessor: the forward goes to the dead owner, times
-  // out, and the ring fallback still reports the same (not yet repaired)
-  // successor — the dead-end the counter must see.  The initiator-side
-  // retry then completes the lookup against the repaired ring.
   const Key probe = 654321;
   PeerStack* owner = nullptr;
   for (PeerStack* p : members) {
@@ -133,22 +174,59 @@ TEST(RouterDeadEndTest, DeadForwardHopIsCountedAndLookupStillCompletes) {
   ASSERT_NE(via, owner);
   c.FailPeer(owner);
 
-  struct R {
-    bool done = false;
-    Status status = Status::Internal("pending");
-  };
-  auto res = std::make_shared<R>();
-  via->router->Lookup(probe, [res](const Status& s, sim::NodeId, int) {
-    res->done = true;
-    res->status = s;
-  });
-  const sim::SimTime give_up = c.sim().now() + 30 * sim::kSecond;
-  while (!res->done && c.sim().now() < give_up) {
-    if (!c.sim().Step()) break;
-  }
-  ASSERT_TRUE(res->done);
-  EXPECT_TRUE(res->status.ok()) << res->status.ToString();
+  const Status s = LookupFrom(c, via, probe, 60 * sim::kSecond);
+  EXPECT_TRUE(s.ok()) << s.ToString();
   EXPECT_GE(c.metrics().counters().Get("router.fwd_dead_end"), 1u);
+}
+
+TEST(RouterDeadEndTest, ForwardToDepartedPeerIsRefusedAndRerouted) {
+  // A peer that left the ring (FREE) but is still named by a stale routing
+  // pointer must refuse the forward: an ack followed by a dead end at that
+  // hop would stall the lookup until the initiator's retry.  On a refusal
+  // the sender reroutes through its ring successor at once.
+  ClusterOptions o = ClusterOptions::FastDefaults();
+  o.seed = 94;
+  o.hrf_refresh_period = 3600 * sim::kSecond;  // hierarchies stay stale
+  Cluster c(o);
+  Populate(c, 150, 47);
+  BuildHierarchies(c);
+  auto members = c.LiveMembers();
+  ASSERT_GE(members.size(), 10u);
+
+  // Depart a member that some other member's hierarchy points at.
+  PeerStack* departed = nullptr;
+  PeerStack* via = nullptr;
+  for (PeerStack* p : members) {
+    auto* hrf = dynamic_cast<router::HrfRouter*>(p->router.get());
+    for (const auto& e : hrf->levels_for_test()) {
+      PeerStack* target = c.FindPeer(e.id);
+      if (target != nullptr && target != p && departed == nullptr) {
+        departed = target;
+        via = p;
+      }
+    }
+  }
+  ASSERT_NE(departed, nullptr);
+  const Key old_val = departed->ring->val();
+  c.DepartPeer(departed);
+  for (int i = 0; i < 100 && departed->ring->state() != ring::PeerState::kFree;
+       ++i) {
+    c.RunFor(100 * sim::kMillisecond);
+  }
+  ASSERT_EQ(departed->ring->state(), ring::PeerState::kFree);
+  ASSERT_TRUE(departed->ring->alive());
+  ASSERT_FALSE(via->ds->range().Contains(old_val));
+
+  // `via`'s best hop toward the departed peer's old ring value is the stale
+  // pointer to it.
+  const uint64_t retries = c.metrics().counters().Get("router.retries");
+  const uint64_t dead_ends = c.metrics().counters().Get("router.fwd_dead_end");
+  const sim::SimTime started = c.sim().now();
+  const Status s = LookupFrom(c, via, old_val, 30 * sim::kSecond);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_LT(c.sim().now() - started, o.router.lookup_timeout);
+  EXPECT_EQ(c.metrics().counters().Get("router.retries"), retries);
+  EXPECT_EQ(c.metrics().counters().Get("router.fwd_dead_end"), dead_ends);
 }
 
 // --- Refresh truncate-vs-inflight races -------------------------------------
@@ -159,16 +237,7 @@ class RefreshRaceTest : public ::testing::TestWithParam<bool> {
   // period), with hierarchies assembled by explicit refresh passes — the
   // only way to deterministically interleave a clear/truncate with an
   // in-flight refresh RPC.
-  void Build(Cluster& c) {
-    for (int round = 0; round < 8; ++round) {
-      for (PeerStack* p : c.LiveMembers()) {
-        auto* hrf = dynamic_cast<router::HrfRouter*>(p->router.get());
-        ASSERT_NE(hrf, nullptr);
-        hrf->refresh_now_for_test();
-      }
-      c.RunFor(sim::kSecond);
-    }
-  }
+  void Build(Cluster& c) { BuildHierarchies(c); }
 
   static ClusterOptions Options(bool batched) {
     ClusterOptions o = ClusterOptions::FastDefaults();

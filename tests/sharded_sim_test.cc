@@ -217,6 +217,7 @@ namespace {
 struct ReplayResult {
   std::string report;
   uint64_t messages = 0;
+  uint64_t events = 0;
   size_t live = 0;
   std::string trace;  // tracer DumpText, only with trace=true
 };
@@ -254,6 +255,7 @@ ReplayResult RunClusterReplay(uint64_t seed, uint32_t shards,
   // bucket shapes): any divergence in execution order shows up here.
   r.report = cluster.metrics().Report();
   r.messages = cluster.sim().network().messages_sent();
+  r.events = cluster.sim().events_executed();
   r.live = cluster.LiveMembers().size();
   if (trace) {
     EXPECT_EQ(cluster.sim().tracer().records_dropped(), 0u)
@@ -275,6 +277,20 @@ TEST(ShardedSimTest, ClusterReplayIsIdenticalAcrossShardCounts) {
       EXPECT_EQ(other.messages, one.messages) << "seed " << seed;
       EXPECT_EQ(other.live, one.live) << "seed " << seed;
     }
+  }
+}
+
+// There is one engine: `shards` 0 (the ClusterOptions default) and 1 both
+// run a single core inline on the control thread, so their full-precision
+// reports must not differ by a byte.
+TEST(ShardedSimTest, ShardsZeroAndOneAreTheSameEngine) {
+  for (uint64_t seed : {42ull, 7ull}) {
+    const ReplayResult zero = RunClusterReplay(seed, 0);
+    const ReplayResult one = RunClusterReplay(seed, 1);
+    EXPECT_EQ(zero.report, one.report) << "seed " << seed;
+    EXPECT_EQ(zero.messages, one.messages) << "seed " << seed;
+    EXPECT_EQ(zero.events, one.events) << "seed " << seed;
+    EXPECT_EQ(zero.live, one.live) << "seed " << seed;
   }
 }
 

@@ -135,21 +135,29 @@ TEST(NodeTest, ChannelIsFifo) {
 TEST(NodeTest, PeriodicTimerFiresAndCancels) {
   Simulator sim(3);
   EchoNode a(&sim);
-  int ticks = 0;
-  uint64_t timer = a.Every(100, [&] { ++ticks; }, 100);
+  std::vector<SimTime> fires;
+  // Armed from the control context: the first tick lands one lookahead out
+  // (the node's core may already have run up to the window edge), every
+  // later tick one period after the previous.
+  uint64_t timer = a.Every(100, [&] { fires.push_back(sim.now()); }, 100);
   sim.RunFor(1000);
-  EXPECT_EQ(ticks, 10);
+  const SimTime first = sim.lookahead();
+  ASSERT_EQ(fires.size(), (1000 - first) / 100 + 1);
+  for (size_t k = 0; k < fires.size(); ++k) {
+    EXPECT_EQ(fires[k], first + k * 100) << "tick " << k;
+  }
+  const size_t ticks = fires.size();
   a.CancelTimer(timer);
   sim.RunFor(1000);
-  EXPECT_EQ(ticks, 10);
+  EXPECT_EQ(fires.size(), ticks);
 }
 
 TEST(NodeTest, TimersStopOnFailure) {
   Simulator sim(3);
   EchoNode a(&sim);
   int ticks = 0;
-  a.Every(100, [&] { ++ticks; }, 100);
-  sim.RunFor(350);
+  a.Every(100, [&] { ++ticks; }, 100);  // first tick one lookahead out
+  sim.RunFor(sim.lookahead() + 250);
   EXPECT_EQ(ticks, 3);
   a.Fail();
   sim.RunFor(1000);

@@ -307,7 +307,7 @@ BuiltinParams QuickParams(double scale = 0.15) {
 
 // The exported timeline artifact — JSON and the text report's hot-arc
 // lines — must be byte-identical across shard counts: same seed, same
-// bytes, whether the run was serial or partitioned over 1, 2 or 4 lanes.
+// bytes, whether the run was partitioned over 1, 2 or 4 lanes.
 TEST(TimelineScenarioTest, TimelineJsonIsByteIdenticalAcrossShards) {
   const auto scenario = MakeBuiltin("hotspot_shift", QuickParams());
   ASSERT_TRUE(scenario.has_value());

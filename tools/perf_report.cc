@@ -197,7 +197,6 @@ int main(int argc, char** argv) {
 
   ScenarioProbe probe;
   ScenarioProbe baseline;
-  ScenarioProbe shard_single;
   ScenarioProbe shard_par;
   ScenarioProbe trace_on;
   ScenarioProbe telemetry_on;
@@ -242,20 +241,12 @@ int main(int argc, char** argv) {
                                            : 0.0);
     }
     if (!skip_shards && shards >= 2) {
-      // Sharded-engine probes, same seed/scale.  The single-shard arm
-      // measures the engine's serial overhead (gated against the serial
-      // run's throughput); the N-shard arm measures parallel speedup
-      // (gated only when the host actually has >= N cores -- the engine
-      // is deterministic regardless, so audits always gate).
-      std::printf("running the sharded engine: --shards=1 ...\n");
-      shard_single =
-          RunScenarioProbe(scale, seed, /*batched_refresh=*/true, 1);
-      std::printf("  wall %.1fs (%.0f events/sec), audits %s\n",
-                  shard_single.wall_seconds,
-                  static_cast<double>(shard_single.events) /
-                      shard_single.wall_seconds,
-                  shard_single.ok ? "green" : "VIOLATED");
-      std::printf("running the sharded engine: --shards=%u ...\n", shards);
+      // The N-shard arm, same seed/scale, against the probe above (one
+      // inline core): parallel speedup, gated only when the host actually
+      // has >= N cores -- the engine is deterministic regardless, so audits
+      // always gate.
+      std::printf("running the engine on worker threads: --shards=%u ...\n",
+                  shards);
       shard_par = RunScenarioProbe(scale, seed, /*batched_refresh=*/true,
                                    shards);
       std::printf("  wall %.1fs (%.0f events/sec), audits %s, "
@@ -265,13 +256,13 @@ int main(int argc, char** argv) {
                       shard_par.wall_seconds,
                   shard_par.ok ? "green" : "VIOLATED",
                   shard_par.wall_seconds > 0.0
-                      ? shard_single.wall_seconds / shard_par.wall_seconds
+                      ? probe.wall_seconds / shard_par.wall_seconds
                       : 0.0,
                   std::thread::hardware_concurrency());
     }
     if (!skip_trace) {
       // The tracing-on arm, same seed/scale, 1-in-N root sampling.  The
-      // serial probe above IS the tracing-off arm (tracing compiled in,
+      // probe above IS the tracing-off arm (tracing compiled in,
       // disabled), so the pair measures what turning the flight recorder
       // on costs — and its event count doubles as a replay-identity check.
       std::printf("running the tracing-on arm (sampled 1-in-%llu)...\n",
@@ -291,8 +282,8 @@ int main(int argc, char** argv) {
     }
     if (!skip_telemetry) {
       // The telemetry-on arm, same seed/scale: load monitor rings filling
-      // plus the deterministic health probes armed fatal.  The serial probe
-      // above IS the telemetry-off arm (hooks compiled in, sink null), so
+      // plus the deterministic health probes armed fatal.  The probe above
+      // IS the telemetry-off arm (hooks compiled in, sink null), so
       // the pair prices the enabled monitor, the event count doubles as a
       // replay-identity check, and a clean run proves the probes stay quiet
       // on healthy paper-scale churn.
@@ -313,7 +304,7 @@ int main(int argc, char** argv) {
     }
     if (!skip_store) {
       // The paged-store arm, same seed/scale, page_io_latency=0.  The
-      // serial probe above IS the in-memory arm (same facade, map engine),
+      // probe above IS the in-memory arm (same facade, map engine),
       // so the pair prices the paged engine (page faults, tree descents,
       // pool bookkeeping) against the map — and at zero latency the event
       // schedule must be bit-identical, which doubles as the strongest
@@ -469,19 +460,11 @@ int main(int argc, char** argv) {
                    : 0.0) << "\n";
       json << "    },\n";
     }
-    if (shard_single.ran && shard_par.ran) {
+    if (shard_par.ran) {
       json << "    \"shards\": {\n";
       json << "      \"host_cores\": "
            << std::thread::hardware_concurrency() << ",\n";
       json << "      \"n\": " << shards << ",\n";
-      json << "      \"single_wall_seconds\": "
-           << shard_single.wall_seconds << ",\n";
-      json << "      \"single_events_per_sec\": "
-           << static_cast<uint64_t>(
-                  static_cast<double>(shard_single.events) /
-                  shard_single.wall_seconds) << ",\n";
-      json << "      \"single_audits_ok\": "
-           << (shard_single.ok ? "true" : "false") << ",\n";
       json << "      \"parallel_wall_seconds\": "
            << shard_par.wall_seconds << ",\n";
       json << "      \"parallel_events_per_sec\": "
@@ -491,7 +474,7 @@ int main(int argc, char** argv) {
            << (shard_par.ok ? "true" : "false") << ",\n";
       json << "      \"speedup\": "
            << (shard_par.wall_seconds > 0.0
-                   ? shard_single.wall_seconds / shard_par.wall_seconds
+                   ? probe.wall_seconds / shard_par.wall_seconds
                    : 0.0) << "\n";
       json << "    },\n";
     }
@@ -509,7 +492,6 @@ int main(int argc, char** argv) {
   std::printf("report written to %s\n", out_path.c_str());
   const bool violations =
       (probe.ran && !probe.ok) || (baseline.ran && !baseline.ok) ||
-      (shard_single.ran && !shard_single.ok) ||
       (shard_par.ran && !shard_par.ok) || (trace_on.ran && !trace_on.ok) ||
       (telemetry_on.ran && !telemetry_on.ok) ||
       (store_on.ran && !store_on.ok);
