@@ -36,8 +36,6 @@ int main(int argc, char** argv) {
   std::printf("sends/sec             %12.0f\n", r.sends_per_sec);
   std::printf("timer fires/sec       %12.0f\n", r.timer_fires_per_sec);
   std::printf("timer arm+cancel/sec  %12.0f\n", r.timer_arm_cancel_per_sec);
-  std::printf("sharded sends/sec     %12.0f  (cross-shard ping, %u shards)\n",
-              r.sharded_sends_per_sec, r.sharded_n);
   std::printf("peak RSS              %9llu KB\n",
               static_cast<unsigned long long>(r.peak_rss_kb));
 
@@ -54,13 +52,10 @@ int main(int argc, char** argv) {
                   "  \"sends_per_sec\": %.0f,\n"
                   "  \"timer_fires_per_sec\": %.0f,\n"
                   "  \"timer_arm_cancel_per_sec\": %.0f,\n"
-                  "  \"sharded_sends_per_sec\": %.0f,\n"
-                  "  \"sharded_n\": %u,\n"
                   "  \"peak_rss_kb\": %llu\n"
                   "}\n",
                   r.events_per_sec, r.sends_per_sec, r.timer_fires_per_sec,
-                  r.timer_arm_cancel_per_sec, r.sharded_sends_per_sec,
-                  r.sharded_n,
+                  r.timer_arm_cancel_per_sec,
                   static_cast<unsigned long long>(r.peak_rss_kb));
     out << buf;
     std::printf("JSON written to %s\n", json_path.c_str());

@@ -30,8 +30,6 @@ struct SimCoreMicroResults {
   double sends_per_sec = 0.0;        // Network::Send + delivery, fixed latency
   double timer_fires_per_sec = 0.0;  // wheel tick throughput
   double timer_arm_cancel_per_sec = 0.0;  // arm+cancel churn
-  double sharded_sends_per_sec = 0.0;  // cross-shard ping, sharded engine
-  uint32_t sharded_n = 4;            // shard count of the sharded send probe
   uint64_t peak_rss_kb = 0;          // getrusage high-water mark
 };
 
@@ -121,44 +119,6 @@ inline double MeasureSendThroughput(uint64_t total, int pairs = 8) {
   return secs > 0 ? static_cast<double>(sent) / secs : 0.0;
 }
 
-// Cross-shard sends/sec on the sharded engine: the same fixed-latency ping
-// workload, but with every pair straddling a shard boundary (dense ids
-// alternate shards), so every message crosses an outbox and every bounce
-// rides a window barrier.  On hosts with fewer cores than `shards` this is
-// an overhead/contention figure, not a speedup figure — perf_report's
-// scenario probes carry the speedup measurement.
-inline double MeasureShardedSendThroughput(uint64_t total, uint32_t shards,
-                                           int pairs = 8) {
-  sim::NetworkOptions net;
-  net.min_latency = sim::kMillisecond;  // lookahead == latency == 1ms
-  net.max_latency = sim::kMillisecond;
-  sim::Simulator sim(1, net, shards);
-  const uint64_t per_pair = total / static_cast<uint64_t>(pairs);
-  // One budget per pair: a pair's two handlers alternate across windows and
-  // never run concurrently, but distinct pairs do — no sharing across pairs.
-  std::vector<uint64_t> budgets(static_cast<size_t>(pairs), per_pair);
-  std::vector<std::unique_ptr<detail::FloodNode>> nodes;
-  for (int i = 0; i < pairs; ++i) {
-    nodes.push_back(std::make_unique<detail::FloodNode>(
-        &sim, &budgets[static_cast<size_t>(i)]));
-    nodes.push_back(std::make_unique<detail::FloodNode>(
-        &sim, &budgets[static_cast<size_t>(i)]));
-  }
-  const uint64_t sent_before = sim.network().messages_sent();
-  for (int i = 0; i < pairs; ++i) {
-    nodes[2 * static_cast<size_t>(i)]->Send(
-        nodes[2 * static_cast<size_t>(i) + 1]->id(),
-        sim::MakePayload<detail::FloodPayload>());
-  }
-  const auto start = std::chrono::steady_clock::now();
-  // Each pair bounces once per millisecond of sim time; the budgets run dry
-  // after per_pair bounces, so this window drains everything.
-  sim.RunFor((per_pair + 4) * sim::kMillisecond);
-  const double secs = detail::SecondsSince(start);
-  const uint64_t sent = sim.network().messages_sent() - sent_before;
-  return secs > 0 ? static_cast<double>(sent) / secs : 0.0;
-}
-
 // Timer fires/sec: `timers` periodic timers with staggered phases, run
 // until `total` ticks executed.  Exercises wheel cascade/inject/rearm.
 inline double MeasureTimerThroughput(uint64_t total, int timers = 4096) {
@@ -206,11 +166,6 @@ inline SimCoreMicroResults RunSimCoreMicrobench(bool quick = false) {
   r.sends_per_sec = MeasureSendThroughput(scale * 500 * 1000);
   r.timer_fires_per_sec = MeasureTimerThroughput(scale * 500 * 1000);
   r.timer_arm_cancel_per_sec = MeasureArmCancelThroughput(scale * 250 * 1000);
-  // Smaller budget: every bounce crosses a window barrier between worker
-  // threads, so the sharded ping runs orders of magnitude slower per event
-  // than the single-core one.
-  r.sharded_sends_per_sec =
-      MeasureShardedSendThroughput(scale * 50 * 1000, r.sharded_n);
   r.peak_rss_kb = PeakRssKb();
   return r;
 }

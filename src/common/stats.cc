@@ -5,8 +5,6 @@
 #include <cstring>
 #include <sstream>
 
-#include "common/logging.h"
-
 namespace pepper {
 
 // --- ExactSum ----------------------------------------------------------------
@@ -156,107 +154,34 @@ double Histogram::BucketUpperEdge(size_t i) {
                                         static_cast<double>(kBucketsPerDecade));
 }
 
-Histogram::Lane& Histogram::LaneRef() {
-  const int lane = tls_metrics_lane;
-  if (lane == 0 || extra_ == nullptr) return lane0_;
-  return (*extra_)[static_cast<size_t>(lane) - 1];
-}
-
-void Histogram::EnableLanes() {
-  if (extra_ == nullptr) {
-    extra_ = std::make_unique<std::array<Lane, kMaxMetricLanes - 1>>();
-  }
-}
-
-void Histogram::FlattenFrom(const Histogram& other) {
-  lane0_.counts.fill(0);
-  lane0_.count = 0;
-  lane0_.sum.Clear();
-  for (size_t i = 0; i < kBucketCount; ++i) {
-    lane0_.counts[i] = other.bucket_count(i);
-  }
-  lane0_.count = other.count();
-  lane0_.sum.AddSum(other.lane0_.sum);
-  if (other.extra_ != nullptr) {
-    for (const Lane& l : *other.extra_) lane0_.sum.AddSum(l.sum);
-  }
-}
-
-Histogram& Histogram::operator=(const Histogram& other) {
-  if (this != &other) {
-    extra_.reset();
-    FlattenFrom(other);
-  }
-  return *this;
-}
-
 void Histogram::Add(double sample) {
-  Lane& l = LaneRef();
-  ++l.counts[BucketIndex(sample)];
-  ++l.count;
-  l.sum.Add(sample);
+  ++counts_[BucketIndex(sample)];
+  ++count_;
+  sum_.Add(sample);
 }
 
 void Histogram::Merge(const Histogram& other) {
-  for (size_t i = 0; i < kBucketCount; ++i) {
-    lane0_.counts[i] += other.bucket_count(i);
-  }
-  lane0_.count += other.count();
-  lane0_.sum.AddSum(other.lane0_.sum);
-  if (other.extra_ != nullptr) {
-    for (const Lane& l : *other.extra_) lane0_.sum.AddSum(l.sum);
-  }
+  for (size_t i = 0; i < kBucketCount; ++i) counts_[i] += other.counts_[i];
+  count_ += other.count_;
+  sum_.AddSum(other.sum_);
 }
 
 Histogram Histogram::DeltaSince(const Histogram& baseline) const {
   Histogram d;
   for (size_t i = 0; i < kBucketCount; ++i) {
-    const uint64_t cur = bucket_count(i);
-    const uint64_t base = baseline.bucket_count(i);
-    d.lane0_.counts[i] = cur >= base ? cur - base : 0;
-    d.lane0_.count += d.lane0_.counts[i];
+    const uint64_t cur = counts_[i];
+    const uint64_t base = baseline.counts_[i];
+    d.counts_[i] = cur >= base ? cur - base : 0;
+    d.count_ += d.counts_[i];
   }
-  d.lane0_.sum.Add(sum() - baseline.sum());
+  d.sum_.Add(sum() - baseline.sum());
   return d;
 }
 
 void Histogram::Clear() {
-  lane0_.counts.fill(0);
-  lane0_.count = 0;
-  lane0_.sum.Clear();
-  if (extra_ != nullptr) {
-    for (Lane& l : *extra_) {
-      l.counts.fill(0);
-      l.count = 0;
-      l.sum.Clear();
-    }
-  }
-}
-
-uint64_t Histogram::count() const {
-  uint64_t total = lane0_.count;
-  if (extra_ != nullptr) {
-    for (const Lane& l : *extra_) total += l.count;
-  }
-  return total;
-}
-
-double Histogram::sum() const {
-  if (extra_ == nullptr) return lane0_.sum.Total();
-  // Merge the exact lane sums first, round once: the result depends only on
-  // the multiset of samples, not on how lanes partitioned them.
-  ExactSum acc;
-  acc.AddSum(lane0_.sum);
-  for (const Lane& l : *extra_) acc.AddSum(l.sum);
-  return acc.Total();
-}
-
-uint64_t Histogram::bucket_count(size_t i) const {
-  uint64_t total = lane0_.counts[i];
-  if (extra_ != nullptr) {
-    for (const Lane& l : *extra_) total += l.counts[i];
-  }
-  return total;
+  counts_.fill(0);
+  count_ = 0;
+  sum_.Clear();
 }
 
 double Histogram::mean() const {
@@ -311,28 +236,17 @@ std::string Histogram::ToString() const {
 
 // --- Counters ----------------------------------------------------------------
 
-Counters::Counters() { entries_.reserve(kMaxCounters); }
-
 size_t Counters::Find(const std::string& name) const {
-  const size_t n = size_.load(std::memory_order_acquire);
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < entries_.size(); ++i) {
     if (entries_[i].name == name) return i;
   }
-  return kMaxCounters;
+  return entries_.size();
 }
 
 Counters::Id Counters::Intern(const std::string& name) {
-  size_t i = Find(name);
-  if (i != kMaxCounters) return static_cast<Id>(i);
-  std::lock_guard<std::mutex> lock(grow_mu_);
-  i = Find(name);  // re-check under the lock
-  if (i != kMaxCounters) return static_cast<Id>(i);
-  const size_t n = size_.load(std::memory_order_relaxed);
-  PEPPER_CHECK(n < kMaxCounters);
-  entries_.emplace_back();
-  entries_[n].name = name;
-  size_.store(n + 1, std::memory_order_release);
-  return static_cast<Id>(n);
+  const size_t i = Find(name);
+  if (i == entries_.size()) entries_.push_back(Entry{name, 0});
+  return static_cast<Id>(i);
 }
 
 void Counters::Inc(const std::string& name, uint64_t delta) {
@@ -341,27 +255,13 @@ void Counters::Inc(const std::string& name, uint64_t delta) {
 
 uint64_t Counters::Get(const std::string& name) const {
   const size_t i = Find(name);
-  if (i == kMaxCounters) return 0;
-  uint64_t total = 0;
-  for (uint64_t lane : entries_[i].lanes) total += lane;
-  return total;
-}
-
-uint64_t Counters::Get(Id id) const {
-  uint64_t total = 0;
-  for (uint64_t lane : entries_[id].lanes) total += lane;
-  return total;
+  return i == entries_.size() ? 0 : entries_[i].value;
 }
 
 std::vector<std::pair<std::string, uint64_t>> Counters::Snapshot() const {
   std::vector<std::pair<std::string, uint64_t>> out;
-  const size_t n = size_.load(std::memory_order_acquire);
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t total = 0;
-    for (uint64_t lane : entries_[i].lanes) total += lane;
-    out.emplace_back(entries_[i].name, total);
-  }
+  out.reserve(entries_.size());
+  for (const Entry& e : entries_) out.emplace_back(e.name, e.value);
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -369,61 +269,37 @@ std::vector<std::pair<std::string, uint64_t>> Counters::Snapshot() const {
 void Counters::Clear() {
   // Zero the values but keep the registrations: interned Ids held by
   // components stay valid across a Clear.
-  const size_t n = size_.load(std::memory_order_acquire);
-  for (size_t i = 0; i < n; ++i) entries_[i].lanes.fill(0);
+  for (Entry& e : entries_) e.value = 0;
 }
 
 // --- MetricsHub --------------------------------------------------------------
 
-MetricsHub::MetricsHub() { latencies_.reserve(kMaxSeries); }
-
 Histogram& MetricsHub::Latency(const std::string& name) {
-  size_t n = size_.load(std::memory_order_acquire);
-  for (size_t i = 0; i < n; ++i) {
-    if (latencies_[i].first == name) return *latencies_[i].second;
+  for (auto& kv : latencies_) {
+    if (kv.first == name) return *kv.second;
   }
-  std::lock_guard<std::mutex> lock(grow_mu_);
-  n = size_.load(std::memory_order_relaxed);
-  for (size_t i = 0; i < n; ++i) {
-    if (latencies_[i].first == name) return *latencies_[i].second;
-  }
-  PEPPER_CHECK(n < kMaxSeries);
-  auto hist = std::make_unique<Histogram>();
-  if (concurrent_lanes_) hist->EnableLanes();
-  latencies_.emplace_back(name, std::move(hist));
-  size_.store(n + 1, std::memory_order_release);
-  return *latencies_[n].second;
+  latencies_.emplace_back(name, std::make_unique<Histogram>());
+  return *latencies_.back().second;
 }
 
 const Histogram* MetricsHub::FindLatency(const std::string& name) const {
-  const size_t n = size_.load(std::memory_order_acquire);
-  for (size_t i = 0; i < n; ++i) {
-    if (latencies_[i].first == name) return latencies_[i].second.get();
+  for (const auto& kv : latencies_) {
+    if (kv.first == name) return kv.second.get();
   }
   return nullptr;
-}
-
-void MetricsHub::EnableConcurrentLanes() {
-  std::lock_guard<std::mutex> lock(grow_mu_);
-  concurrent_lanes_ = true;
-  const size_t n = size_.load(std::memory_order_relaxed);
-  for (size_t i = 0; i < n; ++i) latencies_[i].second->EnableLanes();
 }
 
 std::vector<std::pair<std::string, const Histogram*>> MetricsHub::Series()
     const {
   std::vector<std::pair<std::string, const Histogram*>> out;
-  const size_t n = size_.load(std::memory_order_acquire);
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    out.emplace_back(latencies_[i].first, latencies_[i].second.get());
+  out.reserve(latencies_.size());
+  for (const auto& kv : latencies_) {
+    out.emplace_back(kv.first, kv.second.get());
   }
   return out;
 }
 
 void MetricsHub::Clear() {
-  std::lock_guard<std::mutex> lock(grow_mu_);
-  size_.store(0, std::memory_order_release);
   latencies_.clear();
   counters_.Clear();
 }

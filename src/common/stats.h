@@ -2,31 +2,20 @@
 #define PEPPER_COMMON_STATS_H_
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 namespace pepper {
 
-// Metrics lane of the calling thread.  Lane 0 is the single-threaded /
-// control lane; the sharded simulator assigns lane 1+shard to each worker.
-// Counters and Histograms accumulate per lane (so shard workers never
-// contend) and aggregate at read time; reads happen only at barriers or
-// between runs, where the simulator's synchronization orders them after
-// every lane write.
-inline thread_local int tls_metrics_lane = 0;
-inline constexpr size_t kMaxMetricLanes = 33;  // control + up to 32 shards
-
 // Exact fixed-point accumulator for non-negative doubles (a ~2176-bit
 // superaccumulator).  Addition is associative and commutative *exactly*, so
 // a sum is a pure function of the multiset of samples — independent of add
-// order and of how samples were partitioned across lanes.  That is what
-// keeps CSV means bit-identical when the sharded simulator splits a series
-// across worker lanes.
+// order.  The simulator's partition cores take their turns core by core
+// inside each window, so the order samples arrive in depends on the shard
+// count; the exact sum is what keeps CSV means bit-identical anyway.
 class ExactSum {
  public:
   // Limb i carries weight 2^(64*i - 1088); the range covers every finite
@@ -90,12 +79,6 @@ class Histogram {
   // underflow + kDecades*kBucketsPerDecade + overflow
   static constexpr size_t kBucketCount = kDecades * kBucketsPerDecade + 2;
 
-  Histogram() = default;
-  // Copies flatten every lane into lane 0 of the destination: snapshots
-  // (MetricsRegistry phase baselines) are plain single-lane values.
-  Histogram(const Histogram& other) { FlattenFrom(other); }
-  Histogram& operator=(const Histogram& other);
-
   void Add(double sample);
   void Merge(const Histogram& other);
   // Bucket-wise difference *this - baseline (caller guarantees `baseline`
@@ -103,14 +86,8 @@ class Histogram {
   Histogram DeltaSince(const Histogram& baseline) const;
   void Clear();
 
-  // Lane plumbing for sharded runs: once enabled, Add() from a thread with
-  // tls_metrics_lane == k accumulates into a private lane, and every read
-  // aggregates across lanes.  Enabling is done before worker threads start
-  // (there is no lazy allocation to race on).
-  void EnableLanes();
-
-  uint64_t count() const;
-  double sum() const;
+  uint64_t count() const { return count_; }
+  double sum() const { return sum_.Total(); }
   double mean() const;
   // Lower edge of the first / upper edge of the last non-empty bucket
   // (0 for the underflow bucket).
@@ -119,76 +96,50 @@ class Histogram {
   // q in [0, 1]; log-interpolated within the bucket holding the rank.
   double Percentile(double q) const;
 
-  // Resident size: O(buckets), and O(buckets * lanes) only after a sharded
-  // run enables lanes.  Never O(samples) — a unit test pins this.
-  size_t MemoryBytes() const {
-    return sizeof(*this) + (extra_ == nullptr ? 0 : sizeof(*extra_));
-  }
+  // Resident size: O(buckets), never O(samples) — a unit test pins this.
+  size_t MemoryBytes() const { return sizeof(*this); }
 
   std::string ToString() const;
-  uint64_t bucket_count(size_t i) const;
+  uint64_t bucket_count(size_t i) const { return counts_[i]; }
 
  private:
-  struct Lane {
-    std::array<uint64_t, kBucketCount> counts{};
-    uint64_t count = 0;
-    ExactSum sum;
-  };
-
   static size_t BucketIndex(double v);
   static double BucketLowerEdge(size_t i);
   static double BucketUpperEdge(size_t i);
 
-  Lane& LaneRef();
-  void FlattenFrom(const Histogram& other);
-
-  Lane lane0_;
-  std::unique_ptr<std::array<Lane, kMaxMetricLanes - 1>> extra_;
+  std::array<uint64_t, kBucketCount> counts_{};
+  uint64_t count_ = 0;
+  ExactSum sum_;
 };
 
 // Monotonic named counters for protocol events (messages sent, splits,
-// merges, lock waits, violations detected, ...).  Each counter carries one
-// slot per metrics lane; Inc from a shard worker touches only that worker's
-// slot, and reads (Get/Snapshot, which happen at barriers or after the run)
-// aggregate.  Per-op hot paths should Intern() the name once at component
-// construction and use the Id overload — no string compare per event.
+// merges, lock waits, violations detected, ...).  Per-op hot paths should
+// Intern() the name once at component construction and use the Id
+// overload — no string compare per event.
 class Counters {
  public:
   using Id = uint32_t;
-  // Fixed capacity so the entry array never reallocates: Ids and in-flight
-  // lane scans stay valid while another thread registers a new counter.
-  static constexpr size_t kMaxCounters = 512;
-
-  Counters();
-  Counters(const Counters&) = delete;
-  Counters& operator=(const Counters&) = delete;
 
   // Registers (or finds) the counter and returns its stable handle.
   Id Intern(const std::string& name);
-  void Inc(Id id, uint64_t delta = 1) {
-    entries_[id].lanes[tls_metrics_lane] += delta;
-  }
+  void Inc(Id id, uint64_t delta = 1) { entries_[id].value += delta; }
   void Inc(const std::string& name, uint64_t delta = 1);
   uint64_t Get(const std::string& name) const;
-  // Lane-aggregated read by handle; same barrier-ordered read contract as
-  // the by-name Get, minus the name scan.
-  uint64_t Get(Id id) const;
+  // Read by handle: the by-name Get minus the name scan.
+  uint64_t Get(Id id) const { return entries_[id].value; }
   std::vector<std::pair<std::string, uint64_t>> Snapshot() const;
   void Clear();
 
  private:
   struct Entry {
     std::string name;
-    std::array<uint64_t, kMaxMetricLanes> lanes{};
+    uint64_t value = 0;
   };
 
-  // Index of `name` in [0, size_), or kMaxCounters if absent.  Lock-free:
-  // entries below the acquire-loaded size are fully published.
+  // Index of `name` in entries_, or entries_.size() if absent.
   size_t Find(const std::string& name) const;
 
-  std::vector<Entry> entries_;   // reserved to kMaxCounters, never reallocs
-  std::atomic<size_t> size_{0};
-  std::mutex grow_mu_;
+  std::vector<Entry> entries_;  // index == Id
 };
 
 // Named latency histograms + counters shared by all layers of a cluster;
@@ -197,11 +148,7 @@ class Counters {
 // arbitrarily long churn runs.
 class MetricsHub {
  public:
-  // Fixed slot budget so the (name, histogram) array never reallocates
-  // under a concurrent reader; histograms themselves are heap-stable.
-  static constexpr size_t kMaxSeries = 256;
-
-  MetricsHub();
+  MetricsHub() = default;
   MetricsHub(const MetricsHub&) = delete;
   MetricsHub& operator=(const MetricsHub&) = delete;
 
@@ -220,11 +167,6 @@ class MetricsHub {
   Counters& counters() { return counters_; }
   const Counters& counters() const { return counters_; }
 
-  // Sharded runs call this before worker threads start: every existing and
-  // future histogram gets its per-lane storage up front, so worker Add()s
-  // never race an allocation.
-  void EnableConcurrentLanes();
-
   // All series, in creation order (the scenario registry snapshots these).
   std::vector<std::pair<std::string, const Histogram*>> Series() const;
 
@@ -232,10 +174,8 @@ class MetricsHub {
   std::string Report() const;
 
  private:
+  // Heap-allocated so the references Latency() hands out stay valid.
   std::vector<std::pair<std::string, std::unique_ptr<Histogram>>> latencies_;
-  std::atomic<size_t> size_{0};
-  std::mutex grow_mu_;
-  bool concurrent_lanes_ = false;
   Counters counters_;
 };
 

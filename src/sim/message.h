@@ -1,7 +1,6 @@
 #ifndef PEPPER_SIM_MESSAGE_H_
 #define PEPPER_SIM_MESSAGE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <type_traits>
@@ -37,11 +36,10 @@ namespace detail {
 // Ids are assigned on first use within a run: process-local and
 // deterministic for a fixed binary + execution path; they index dispatch
 // tables and are never serialized or compared across runs.  Id 0 is the
-// null payload.  Atomic: sharded simulations instantiate payload types
-// from worker threads.
+// null payload.
 inline uint32_t AllocatePayloadTypeId() {
-  static std::atomic<uint32_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
+  static uint32_t next = 1;
+  return next++;
 }
 }  // namespace detail
 
@@ -91,17 +89,12 @@ class PayloadPtr {
 };
 
 namespace detail {
-// Per-type, per-thread free lists for payload control blocks.  A
-// paper-scale run creates ~100M payloads; recycling the
-// shared_ptr-with-object nodes keeps the hot path off malloc and reuses
-// cache-warm blocks.  The lists are keyed by the concrete allocation type
-// (the exact allocate_shared control-block layout), so a pop is always the
-// right size with no bucket rounding, and they are thread_local so sharded
-// simulations never contend or corrupt a shared list — a payload allocated
-// on one shard and released on another just migrates a block between the
-// two caches.  kMaxDepth bounds that migration: a systematically one-way
-// send pattern caps the receiving thread's cache instead of growing it
-// without bound.
+// Per-type free lists for payload control blocks.  A paper-scale run
+// creates ~100M payloads; recycling the shared_ptr-with-object nodes keeps
+// the hot path off malloc and reuses cache-warm blocks.  The lists are
+// keyed by the concrete allocation type (the exact allocate_shared
+// control-block layout), so a pop is always the right size with no bucket
+// rounding.  kMaxDepth bounds a list after a burst of releases.
 template <typename T>
 struct PayloadFreeList {
   static constexpr size_t kMaxDepth = 4096;

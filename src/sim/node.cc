@@ -174,8 +174,7 @@ void Node::CancelPendingRpcTimers() {
 void Node::Deliver(const Message& msg) {
   if (!alive_) return;
   if (TelemetrySink* sink = sim_->telemetry_sink()) {
-    // On this node's shard thread: the per-node windowed backlog counters
-    // are single-writer.
+    // Charged to this node's own windowed backlog counters.
     sink->OnMessageDelivered(id_, msg.rpc_id != 0 && !msg.is_response,
                              sim_->now());
   }

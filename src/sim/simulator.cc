@@ -9,8 +9,6 @@
 
 namespace pepper::sim {
 
-thread_local Simulator::ShardCore* Simulator::tls_shard_ = nullptr;
-
 namespace {
 
 // Installs the execution context of one event: the sim-time/node prefix for
@@ -31,14 +29,11 @@ void Network::Send(Message msg) {
                  msg.payload ? typeid(*msg.payload).name() : "none");
   }
   PEPPER_CHECK(msg.from != kNullNode && msg.to != kNullNode);
-  ++messages_sent_[tls_metrics_lane];
+  ++messages_sent_;
   // Latency draws come from the sender's per-node stream, so a node's draw
   // order is a property of that node's execution history alone — invariant
   // under the shard partition.  Fixed-latency configs (min == max) draw
-  // nothing.  The sender's channel row is owned by the executing core (or
-  // by the parked-worker control context), so the FIFO bookkeeping needs no
-  // locks; only the receiver-side inbound-sender index of a remote node
-  // defers to the barrier.
+  // nothing.
   const SimTime latency =
       options_.min_latency == options_.max_latency
           ? options_.min_latency
@@ -65,10 +60,8 @@ void Network::Send(Message msg) {
       } else {
         // Sorted insert; creation is once per distinct channel ever.
         nc.out.insert(it, Channel{msg.to, deliver_at});
-        if (!sim_->NoteNewChannelDeferred(msg.to, msg.from)) {
-          channels_[msg.to].in_senders.push_back(msg.from);
-        }
-        channel_count_.fetch_add(1, std::memory_order_relaxed);
+        channels_[msg.to].in_senders.push_back(msg.from);
+        ++channel_count_;
       }
     }
   }
@@ -86,7 +79,7 @@ void Network::Send(Message msg) {
 void Network::ReleaseNode(NodeId id) {
   if (id >= channels_.size()) return;
   NodeChannels& nc = channels_[id];
-  channel_count_.fetch_sub(nc.out.size(), std::memory_order_relaxed);
+  channel_count_ -= nc.out.size();
   for (const Channel& ch : nc.out) {
     auto& senders = channels_[ch.peer].in_senders;
     for (size_t i = 0; i < senders.size(); ++i) {
@@ -103,7 +96,7 @@ void Network::ReleaseNode(NodeId id) {
     for (size_t i = 0; i < out.size(); ++i) {
       if (out[i].peer == id) {
         out.erase(out.begin() + i);
-        channel_count_.fetch_sub(1, std::memory_order_relaxed);
+        --channel_count_;
         break;
       }
     }
@@ -124,43 +117,21 @@ Simulator::Simulator(uint64_t seed, NetworkOptions net, uint32_t shards)
   for (uint32_t i = 0; i < shards; ++i) {
     auto sc = std::make_unique<ShardCore>();
     sc->index = i;
-    sc->outbox.resize(shards);
     shards_.push_back(std::move(sc));
-  }
-  // A single core has nothing to overlap with: its windows run inline on
-  // the control thread (same schedule — the worker handshake is pure
-  // overhead).  Real workers only exist for N > 1.
-  if (shards > 1) {
-    for (auto& sc : shards_) {
-      sc->thread = std::thread(&Simulator::WorkerMain, this, sc->index);
-    }
-  }
-}
-
-Simulator::~Simulator() {
-  for (auto& sc : shards_) {
-    std::lock_guard<std::mutex> lk(sc->mu);
-    sc->exit = true;
-    sc->cv_work.notify_one();
-  }
-  for (auto& sc : shards_) {
-    if (sc->thread.joinable()) sc->thread.join();
   }
 }
 
 SimTime Simulator::now() const {
-  const ShardCore* sc = tls_shard_;
-  return sc != nullptr ? sc->now : now_;
+  return exec_shard_ != nullptr ? exec_shard_->now : now_;
 }
 
 Rng& Simulator::rng() {
-  ShardCore* sc = tls_shard_;
-  if (sc != nullptr) return slots_[sc->exec_node].rng;
+  if (exec_shard_ != nullptr) return slots_[exec_shard_->exec_node].rng;
   return rng_;
 }
 
 void Simulator::At(SimTime t, std::function<void()> fn) {
-  ShardCore* sc = tls_shard_;
+  ShardCore* sc = exec_shard_;
   if (sc != nullptr) {
     PEPPER_CHECK(t >= sc->now);
     sc->queue.PushClosureSeq(t, SeqOf(sc->exec_node), sc->exec_node,
@@ -168,11 +139,11 @@ void Simulator::At(SimTime t, std::function<void()> fn) {
     return;
   }
   PEPPER_CHECK(t >= now_);
-  PushCtrl(t, std::move(fn));
+  PushCtrl(t, CtrlRank(), std::move(fn));
 }
 
 void Simulator::After(SimTime delay, std::function<void()> fn) {
-  ShardCore* sc = tls_shard_;
+  ShardCore* sc = exec_shard_;
   if (sc != nullptr) {
     // Node context: stays on the executing node's core, attributed to that
     // node for seq purposes.  Far-future one-shots (workload arrivals, slow
@@ -190,11 +161,11 @@ void Simulator::After(SimTime delay, std::function<void()> fn) {
   }
   // Control context: control closures (workload drivers, scenario probes)
   // run at barriers; the control heap is shallow, no wheel needed.
-  PushCtrl(now_ + delay, std::move(fn));
+  PushCtrl(now_ + delay, CtrlRank(), std::move(fn));
 }
 
 void Simulator::Defer(std::function<void()> fn) {
-  ShardCore* sc = tls_shard_;
+  ShardCore* sc = exec_shard_;
   if (sc == nullptr) {
     // Control context: the caller already holds the right to touch
     // cluster-global state — run inline so setup-time code observes its
@@ -202,16 +173,19 @@ void Simulator::Defer(std::function<void()> fn) {
     fn();
     return;
   }
-  sc->deferred.push_back(ShardCore::DeferredItem{
-      sc->now, SeqOf(sc->exec_node), std::move(fn)});
+  // Stamped (core time, origin seq): the key is a function of the node's
+  // own history, so the barrier runs deferred work in the same order at
+  // any shard count.
+  PushCtrl(sc->now, SeqOf(sc->exec_node), std::move(fn));
 }
 
 void Simulator::AfterOnNode(NodeId id, SimTime delay,
                             std::function<void()> fn) {
-  ShardCore* sc = tls_shard_;
+  ShardCore* sc = exec_shard_;
   if (sc != nullptr) {
-    // A node schedules onto itself (Node::After, RPC plumbing); scheduling
-    // onto another shard's node from a worker would race its queue.
+    // A node schedules onto itself (Node::After, RPC plumbing).  Another
+    // core's node may already have run up to the window edge, so only a
+    // message (which lands a lookahead out) may reach it.
     PEPPER_CHECK(ShardOf(id) == sc->index);
     if (delay >= kFarFuture) {
       sc->wheel.Arm(id, sc->now + delay, /*period=*/0, std::move(fn),
@@ -237,7 +211,7 @@ void Simulator::AfterOnNode(NodeId id, SimTime delay,
 
 uint32_t Simulator::ArmTimer(NodeId id, SimTime expiry, SimTime period,
                              std::function<void()> fn) {
-  ShardCore* sc = tls_shard_;
+  ShardCore* sc = exec_shard_;
   if (sc != nullptr) {
     PEPPER_CHECK(ShardOf(id) == sc->index);
     return sc->wheel.Arm(id, expiry, period, std::move(fn), &sc->queue,
@@ -250,39 +224,23 @@ uint32_t Simulator::ArmTimer(NodeId id, SimTime expiry, SimTime period,
 
 void Simulator::CancelWheelTimer(NodeId id, uint32_t idx) {
   // Cancels come from the node's own execution or from control-context
-  // teardown (Node::Fail, Unregister) with workers parked — either way the
-  // owning shard's wheel is safe to touch.
-  ShardCore* sc = tls_shard_;
+  // teardown (Node::Fail, Unregister).
+  ShardCore* sc = exec_shard_;
   if (sc != nullptr) PEPPER_CHECK(ShardOf(id) == sc->index);
   shards_[ShardOf(id)]->wheel.Cancel(idx);
 }
 
 void Simulator::ScheduleMessage(SimTime deliver_at, Message msg) {
+  // Straight into the destination core's queue, from a node or from
+  // control: deliver_at >= sender clock + min_latency >= the running
+  // window's end, so no core has run past it, whether or not it has had
+  // its turn in this window yet.  A node sends only as itself: drawing
+  // another core's node seq mid-window would depend on the core order.
+  PEPPER_CHECK(exec_shard_ == nullptr ||
+               ShardOf(msg.from) == exec_shard_->index);
   const uint64_t seq = SeqOf(msg.from);
-  const uint32_t dest = ShardOf(msg.to);
-  ShardCore* sc = tls_shard_;
-  if (sc == nullptr) {
-    // Control context, workers parked: push straight into the destination
-    // queue.  deliver_at >= now_ + min_latency >= window end, so the shard
-    // has not run past it.
-    shards_[dest]->queue.PushMessageSeq(deliver_at, seq, std::move(msg));
-    return;
-  }
-  PEPPER_CHECK(ShardOf(msg.from) == sc->index);
-  if (dest == sc->index) {
-    sc->queue.PushMessageSeq(deliver_at, seq, std::move(msg));
-    return;
-  }
-  sc->outbox[dest].push_back(
-      ShardCore::OutMsg{deliver_at, seq, std::move(msg)});
-}
-
-bool Simulator::NoteNewChannelDeferred(NodeId to, NodeId from) {
-  ShardCore* sc = tls_shard_;
-  if (sc == nullptr) return false;            // control: direct append safe
-  if (ShardOf(to) == sc->index) return false;  // same shard: ours to touch
-  sc->new_in_senders.emplace_back(to, from);
-  return true;
+  shards_[ShardOf(msg.to)]->queue.PushMessageSeq(deliver_at, seq,
+                                                 std::move(msg));
 }
 
 bool Simulator::Step() { return AdvanceWindow(kNoEvent - 1); }
@@ -295,8 +253,9 @@ void Simulator::RunUntil(SimTime t) {
 
 // --- windows -----------------------------------------------------------------
 
-void Simulator::PushCtrl(SimTime at, std::function<void()> fn) {
-  ctrl_heap_.push_back(CtrlItem{at, CtrlRank(), std::move(fn)});
+void Simulator::PushCtrl(SimTime at, uint64_t rank,
+                         std::function<void()> fn) {
+  ctrl_heap_.push_back(CtrlItem{at, rank, std::move(fn)});
   std::push_heap(ctrl_heap_.begin(), ctrl_heap_.end(), CtrlAfter);
 }
 
@@ -443,65 +402,21 @@ bool Simulator::AdvanceWindow(SimTime bound) {
   if (m == kNoEvent || m > bound) return false;
   const SimTime e = std::min(m + lookahead_, bound + 1);
 
-  // Run [m, e) on every shard with work in the window.  Anything executed
-  // inside sends at latency >= lookahead, landing at >= e — outside the
-  // window — so the shards cannot affect each other until the barrier.
-  if (shards_.size() == 1) {
-    // Inline single-shard execution: the window body runs on this thread
-    // with the shard's execution context installed, exactly as a worker
-    // would run it.
-    ShardCore& sc = *shards_[0];
-    if (sc.next_event < e) {
-      tls_shard_ = &sc;
-      tls_metrics_lane = 1;
-      RunShardWindow(sc, e);
-      tls_shard_ = nullptr;
-      tls_metrics_lane = 0;
-    }
-  } else {
-    for (auto& sc : shards_) {
-      if (sc->next_event >= e) continue;
-      std::lock_guard<std::mutex> lk(sc->mu);
-      sc->window_end = e;
-      ++sc->run_epoch;
-      sc->cv_work.notify_one();
-    }
-    for (auto& sc : shards_) {
-      if (sc->next_event >= e) continue;
-      std::unique_lock<std::mutex> lk(sc->mu);
-      sc->cv_done.wait(lk, [&] { return sc->done_epoch == sc->run_epoch; });
-    }
+  // Run [m, e) on every shard with work in the window, one after another.
+  // Anything executed inside sends at latency >= lookahead, landing at
+  // >= e — outside the window — so the order the shards take their turns
+  // in cannot change the schedule.
+  for (auto& sc : shards_) {
+    if (sc->next_event >= e) continue;
+    exec_shard_ = sc.get();
+    RunShardWindow(*sc, e);
   }
+  exec_shard_ = nullptr;
 
-  // Barrier, control thread only from here.  Merge cross-shard mailboxes:
-  // destination order is irrelevant because every event carries its
-  // (time, composite seq) key.
-  for (auto& src : shards_) {
-    for (size_t d = 0; d < shards_.size(); ++d) {
-      for (auto& om : src->outbox[d]) {
-        shards_[d]->queue.PushMessageSeq(om.at, om.seq, std::move(om.msg));
-      }
-      src->outbox[d].clear();
-    }
-    // Receiver-side registrations for channels created cross-shard this
-    // window (set semantics — application order cannot matter).
-    for (const auto& [to, from] : src->new_in_senders) {
-      network_.channels_[to].in_senders.push_back(from);
-    }
-    src->new_in_senders.clear();
-    // Defer()ed control work, stamped with the shard time and origin seq it
-    // was requested at.
-    for (auto& item : src->deferred) {
-      ctrl_heap_.push_back(
-          CtrlItem{item.at, item.rank, std::move(item.fn)});
-      std::push_heap(ctrl_heap_.begin(), ctrl_heap_.end(), CtrlAfter);
-    }
-    src->deferred.clear();
-  }
-
-  // Control work due this window, in (time, rank) order.  Plain control
-  // ranks are < 2^kSeqBits, so control-originated items sort ahead of
-  // shard-deferred ones at the same instant — an arbitrary but fixed rule.
+  // Barrier: control work due this window, in (time, rank) order.  Plain
+  // control ranks are < 2^kSeqBits, so control-originated items sort ahead
+  // of shard-deferred ones at the same instant — an arbitrary but fixed
+  // rule.
   while (!ctrl_heap_.empty() && ctrl_heap_.front().at < e) {
     std::pop_heap(ctrl_heap_.begin(), ctrl_heap_.end(), CtrlAfter);
     CtrlItem item = std::move(ctrl_heap_.back());
@@ -511,7 +426,7 @@ bool Simulator::AdvanceWindow(SimTime bound) {
     BeginEventContext(now_, kNullNode);
     item.fn();
   }
-  // Control code after the loop (barrier merging, probes) is not
+  // Control code after the loop (driver loops, probes) is not
   // event-scoped: drop the last item's log prefix and trace context.
   ClearSimLogContext();
   trace::Tracer::Clear();
@@ -521,36 +436,13 @@ bool Simulator::AdvanceWindow(SimTime bound) {
   return true;
 }
 
-void Simulator::WorkerMain(uint32_t shard_index) {
-  ShardCore& sc = *shards_[shard_index];
-  tls_shard_ = &sc;
-  tls_metrics_lane = static_cast<int>(shard_index) + 1;
-  uint64_t seen = 0;
-  for (;;) {
-    SimTime end;
-    {
-      std::unique_lock<std::mutex> lk(sc.mu);
-      sc.cv_work.wait(lk, [&] { return sc.exit || sc.run_epoch != seen; });
-      if (sc.exit) return;
-      seen = sc.run_epoch;
-      end = sc.window_end;
-    }
-    RunShardWindow(sc, end);
-    {
-      std::lock_guard<std::mutex> lk(sc.mu);
-      sc.done_epoch = seen;
-    }
-    sc.cv_done.notify_one();
-  }
-}
-
 // --- registry ---------------------------------------------------------------
 
 NodeId Simulator::Register(Node* node) {
   nodes_.push_back(node);
   const NodeId id = static_cast<NodeId>(nodes_.size() - 1);
   tracer_.OnRegister(id);
-  PEPPER_CHECK(tls_shard_ == nullptr);  // construction is control-only
+  PEPPER_CHECK(exec_shard_ == nullptr);  // construction is control-only
   slots_.emplace_back();
   // Seed-derived per-node stream: draw order is a per-node property, so it
   // cannot depend on the shard partition.
@@ -560,7 +452,7 @@ NodeId Simulator::Register(Node* node) {
 }
 
 void Simulator::Unregister(NodeId id) {
-  PEPPER_CHECK(tls_shard_ == nullptr);  // teardown at control
+  PEPPER_CHECK(exec_shard_ == nullptr);  // teardown at control
   if (id < nodes_.size()) nodes_[id] = nullptr;
   network_.ReleaseNode(id);
 }

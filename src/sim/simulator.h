@@ -1,13 +1,8 @@
 #ifndef PEPPER_SIM_SIMULATOR_H_
 #define PEPPER_SIM_SIMULATOR_H_
 
-#include <array>
-#include <atomic>
-#include <condition_variable>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -43,17 +38,10 @@ class Network {
   const NetworkOptions& options() const { return options_; }
   void set_options(NetworkOptions options) { options_ = options; }
   // Incremented on every Send — one-way messages, requests and replies all
-  // funnel through Network::Send.  Counted per metrics lane so worker
-  // threads never contend; the read aggregates.
-  uint64_t messages_sent() const {
-    uint64_t total = 0;
-    for (uint64_t lane : messages_sent_) total += lane;
-    return total;
-  }
+  // funnel through Network::Send.
+  uint64_t messages_sent() const { return messages_sent_; }
   // Live per-channel FIFO entries (observability for pruning tests).
-  size_t channel_count() const {
-    return channel_count_.load(std::memory_order_relaxed);
-  }
+  size_t channel_count() const { return channel_count_; }
 
   // A delay that safely upper-bounds one round trip; protocol timeouts are
   // derived from it.
@@ -89,8 +77,7 @@ class Network {
   // and sends *to* it stop being recorded).  Ids are never reused, so
   // without this long churn runs grow the bookkeeping with one entry per
   // channel every dead peer ever used.  O(channels of `id`) via the
-  // inbound-sender index, not a full scan.  Control-context only (it
-  // touches every core's tables).
+  // inbound-sender index, not a full scan.  Control-context only.
   void ReleaseNode(NodeId id);
 
   // Per-node flat channel tables, indexed by the dense NodeId.  `out` is
@@ -102,12 +89,6 @@ class Network {
   // is created once per distinct (from, to) pair ever — vanishing next to
   // the sends crossing it.  The old nested unordered_map<from,
   // unordered_map<to, SimTime>> cost two hash lookups per send.
-  //
-  // Ownership: channels_[n] is touched only by n's core during a window
-  // (nodes send only from their own execution) and by the control thread
-  // at barriers; the exception is the inbound-sender index of a *remote*
-  // node, whose append is deferred to the barrier (see
-  // Simulator::NoteNewChannelDeferred).
   struct Channel {
     NodeId peer;
     SimTime last_delivery;  // latest delivery scheduled on this channel
@@ -120,13 +101,11 @@ class Network {
 
   Simulator* sim_;
   NetworkOptions options_;
-  std::array<uint64_t, kMaxMetricLanes> messages_sent_{};
-  // Sized at Register, so never resized while worker threads run.
-  std::vector<NodeChannels> channels_;
-  std::atomic<size_t> channel_count_{0};
+  uint64_t messages_sent_ = 0;
+  std::vector<NodeChannels> channels_;  // sized at Register
+  size_t channel_count_ = 0;
   // Per-destination gray-failure delay; empty (the common case) costs one
-  // size check per send.  Resized only from the control context with the
-  // workers parked.
+  // size check per send.  Resized only from the control context.
   std::vector<SimTime> extra_delay_;
 };
 
@@ -141,25 +120,26 @@ class Network {
 // std::function.
 //
 // There is one engine, and its schedule does not depend on how the nodes
-// are partitioned.  Nodes are split across `shards` engine cores by dense
-// NodeId (id % shards); each core owns a private EventQueue arena,
-// TimerWheel and the per-node RNG streams of its nodes.  The cores run in
-// lock-step windows bounded by the conservative lookahead
+// are partitioned.  Nodes are split across `shards` partition cores by
+// dense NodeId (id % shards); each core owns a private EventQueue arena,
+// TimerWheel and the per-node RNG streams of its nodes.  The cores advance
+// in lock-step windows bounded by the conservative lookahead
 // L = max(min_latency, 1): every message sent at time t delivers at
 // t + latency >= t + L, so a window [m, e) with m = the exact global minimum
-// next-event time and e = min(m + L, bound+1) can execute on all cores in
-// parallel — nothing that happens inside the window can affect another node
-// before e.  Cross-core sends land in per-(src, dst) outboxes merged into
-// the destination queue at the barrier; every event carries a composite seq
+// next-event time and e = min(m + L, bound+1) can execute core by core —
+// nothing that happens inside the window can affect another node before e.
+// All cores run on the calling thread, one after another inside each
+// window; a cross-core send lands at or after e and is pushed straight into
+// the destination core's queue.  Every event carries a composite seq
 // ((origin NodeId + 1) << 40 | per-origin counter), so the (time, seq) order
-// — and therefore the entire run — is bit-identical for any shard count.
-// `shards` 0 and 1 both mean one core whose windows run inline on the
-// control thread; N > 1 runs each core on its own worker thread.
+// — and therefore the entire run — is bit-identical for any shard count,
+// which is what lets a test check partition invariance by replaying one
+// seed at several counts.  `shards` 0 and 1 both mean one core.
 //
 // Work that is not a node's own execution — nodeless closures, Defer()ed
 // cluster-global state changes, node construction and failure — runs in
-// the control context, single-threaded, at the window barriers.  Two rules
-// follow, and every caller sees them:
+// the control context at the window barriers.  Two rules follow, and every
+// caller sees them:
 //   1. A control-context At/After closure, and Defer()ed work, runs at the
 //      barrier of the window it falls in — after that window's node events —
 //      ordered by (time, rank).
@@ -179,10 +159,12 @@ class Simulator {
   // paper-scale runs execute ~1e8 events).
   static constexpr int kSeqBits = 40;
 
-  // `shards` 0 and 1 are the same engine: one core, run inline.
+  // `shards` 0 and 1 are the same engine: one core.
   explicit Simulator(uint64_t seed, NetworkOptions net = NetworkOptions(),
                      uint32_t shards = 0);
-  ~Simulator();
+  // Nodes and the network hold the simulator's address.
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
 
   uint32_t shard_count() const { return static_cast<uint32_t>(shards_.size()); }
   SimTime lookahead() const { return lookahead_; }
@@ -196,7 +178,7 @@ class Simulator {
 
   // Runs `fn` in the control context, where cluster-global state (oracle,
   // free-peer pool, driver bookkeeping) is safe to touch: immediately when
-  // called from control, at the next window barrier — ordered by (core
+  // called from control, at the current window's barrier — ordered by (core
   // time, origin seq) — when called from a node's event.
   void Defer(std::function<void()> fn);
   // Schedules `fn` on `id`'s execution context (alive-guarded), from the
@@ -221,8 +203,8 @@ class Simulator {
   Counters& counters() { return counters_; }
 
   // Deterministic causal tracing (off by default; see trace/tracer.h).
-  // Enable from the control context, passing the per-lane flight-recorder
-  // capacity and the 1-in-N root sampling rate.
+  // Enable from the control context, passing the flight-recorder capacity
+  // and the 1-in-N root sampling rate.
   trace::Tracer& tracer() { return tracer_; }
   const trace::Tracer& tracer() const { return tracer_; }
   void EnableTracing(size_t ring_capacity, uint64_t sample_every) {
@@ -254,8 +236,8 @@ class Simulator {
   friend class Network;
   friend class Node;
 
-  // One engine core: a complete single-threaded simulator over the subset
-  // of nodes with id % shards == index, plus the cross-core plumbing.
+  // One partition core: a complete event loop over the subset of nodes
+  // with id % shards == index.
   struct ShardCore {
     uint32_t index = 0;
     EventQueue queue;
@@ -264,37 +246,6 @@ class Simulator {
     SimTime next_event = 0;  // valid during AdvanceWindow only
     uint64_t events = 0;
     NodeId exec_node = kNullNode;  // node whose event is executing
-
-    // Cross-shard sends buffered during the window, merged by the control
-    // thread at the barrier; (at, seq) makes insertion order irrelevant.
-    struct OutMsg {
-      SimTime at;
-      uint64_t seq;
-      Message msg;
-    };
-    std::vector<std::vector<OutMsg>> outbox;  // [destination shard]
-    // (to, from) channel registrations for remote nodes, applied at the
-    // barrier (in_senders is set-semantics, so application order across
-    // shards cannot matter).
-    std::vector<std::pair<NodeId, NodeId>> new_in_senders;
-    // Defer()ed control work stamped (shard time, origin seq).
-    struct DeferredItem {
-      SimTime at;
-      uint64_t rank;
-      std::function<void()> fn;
-    };
-    std::vector<DeferredItem> deferred;
-
-    // Worker handshake.  Condvar-based: correct and cheap whether the host
-    // has one core or many (a spin barrier would starve on small hosts).
-    std::mutex mu;
-    std::condition_variable cv_work;
-    std::condition_variable cv_done;
-    uint64_t run_epoch = 0;
-    uint64_t done_epoch = 0;
-    SimTime window_end = 0;
-    bool exit = false;
-    std::thread thread;
   };
 
   struct NodeSlot {
@@ -323,42 +274,35 @@ class Simulator {
   void CancelWheelTimer(NodeId id, uint32_t idx);
   // Message scheduling for Network::Send (by value, no closure).
   void ScheduleMessage(SimTime deliver_at, Message msg);
-  // Called by Network::Send when a new channel (from -> to) appears; returns
-  // true if the inbound-sender registration was deferred to the barrier
-  // (cross-shard creation from a worker).
-  bool NoteNewChannelDeferred(NodeId to, NodeId from);
   Rng& SlotRng(NodeId id) { return slots_[id].rng; }
 
   uint32_t ShardOf(NodeId id) const {
     return id % static_cast<uint32_t>(shards_.size());
   }
-  // Next composite seq for events originating at `id` (control thread at
-  // barriers or the owning shard worker — never concurrent).
+  // Next composite seq for events originating at `id`.
   uint64_t SeqOf(NodeId id) {
     return ((static_cast<uint64_t>(id) + 1) << kSeqBits) | slots_[id].seq_ctr++;
   }
   uint64_t CtrlRank() { return ctrl_rank_ctr_++; }
-  void PushCtrl(SimTime at, std::function<void()> fn);
+  void PushCtrl(SimTime at, uint64_t rank, std::function<void()> fn);
   // Exact earliest pending event time of one shard (drains due wheel slots
   // into the queue first — slot lower bounds would depend on cursor state
   // and break the shard-count invariance of the window placement).
   SimTime ShardPeekNext(ShardCore& sc);
-  // Executes every event with time < end on one shard (worker thread).
+  // Executes every event with time < end on one shard.
   void RunShardWindow(ShardCore& sc, SimTime end);
   void ExecuteShardNext(ShardCore& sc);
   void ExecuteShardTimerFire(ShardCore& sc, uint32_t idx);
-  // One lock-step window: find m, run [m, e) on all shards in parallel,
-  // then merge mailboxes and run control work at the barrier.  Returns
-  // false if nothing is pending at or before `bound`.
+  // One lock-step window: find m, run [m, e) on each shard in turn, then
+  // run control work at the barrier.  Returns false if nothing is pending
+  // at or before `bound`.
   bool AdvanceWindow(SimTime bound);
-  void WorkerMain(uint32_t shard_index);
 
   static constexpr SimTime kNoEvent = ~SimTime{0};
 
-  // Execution-context marker: the core whose window is running on this
-  // thread (a worker's own core, or the inline core while its window runs),
-  // null in the control context.
-  static thread_local ShardCore* tls_shard_;
+  // Execution-context marker: the core whose window is running, null in
+  // the control context.
+  ShardCore* exec_shard_ = nullptr;
 
   uint64_t seed_;
   SimTime now_ = 0;  // control clock

@@ -13,14 +13,14 @@ namespace pepper::sim {
 // Determinism contract (the same one the Tracer honours): a sink
 // implementation must never touch the simulator's RNG streams, event seqs,
 // timers or MetricsHub from these callbacks — hook or no hook, the schedule
-// and the metrics CSV stay bit-identical.  Callbacks fire on the executing
-// node's thread (single-writer per node in sharded runs); cross-node
-// attribution is the sink's problem (LoadMonitor lane-stripes it).
+// and the metrics CSV stay bit-identical.  Callbacks fire inside the
+// executing node's event; cross-node attribution is the sink's problem
+// (LoadMonitor charges a timeout to the callee's ring).
 class TelemetrySink {
  public:
   virtual ~TelemetrySink() = default;
 
-  // A message arrived at `to` (fires on `to`'s shard thread).  `is_rpc` is
+  // A message arrived at `to` (fires in `to`'s delivery event).  `is_rpc` is
   // true for RPC requests — the "someone is waiting on this peer" subset of
   // the in-window event backlog.
   virtual void OnMessageDelivered(NodeId to, bool is_rpc, SimTime now) = 0;

@@ -38,8 +38,8 @@ struct StoreOptions {
 };
 
 // Cumulative engine counters.  Plain integers written only by the owning
-// node's thread (each peer has its own store), read from the control
-// context — the single-writer discipline of the telemetry rings.
+// node's events (each peer has its own store), read from the control
+// context.
 struct StoreStats {
   uint64_t reads = 0;       // point lookups served (Get/Contains)
   uint64_t hits = 0;        // buffer-pool hits (in-memory: every access)

@@ -24,7 +24,7 @@ const char* ReorgKindName(ReorgKind kind);
 
 // One ownership-change record: node's arc became `range` (active) or the
 // node gave its arc up (!active).  Emitted by the Data Store facade's
-// observer hook on the owning node's thread; `seq` is a per-node monotone
+// observer hook in the owning node's events; `seq` is a per-node monotone
 // counter, so (time, node, seq) totally orders the merged log independent
 // of the shard partition.
 struct ArcEvent {
@@ -59,10 +59,10 @@ struct ArcEvent {
 //     refresh pass (legacy tick or batched FinishPass).
 //   * In-window event backlog: messages/RPC requests delivered per window.
 //
-// Threading: hot hooks write the executing node's own ring (single-writer);
-// the caller-observed timeout is lane-striped (see TimeSeries); arc/reorg
-// events append to per-node logs owned by the node's thread.  All reads
-// happen from the control context at barriers or between runs.
+// Storage: hot hooks write the executing node's own ring; the
+// caller-observed timeout is charged to the callee's ring (see TimeSeries);
+// arc/reorg events append to the executing node's log.  All reads happen
+// from the control context at barriers or between runs.
 class LoadMonitor : public sim::TelemetrySink {
  public:
   struct Options {
@@ -75,8 +75,8 @@ class LoadMonitor : public sim::TelemetrySink {
   const TimeSeries& series() const { return series_; }
   SimTime window_length() const { return series_.window_length(); }
 
-  // Grows per-node state; control context only (Cluster registration path,
-  // workers parked).
+  // Grows per-node state; control context only (Cluster registration
+  // path).
   void OnRegister(NodeId id);
 
   // --- sim::TelemetrySink (engine hooks) -----------------------------------
@@ -88,7 +88,7 @@ class LoadMonitor : public sim::TelemetrySink {
     series_.AddTimeout(callee, now);
   }
 
-  // --- Component hooks (owning node's thread) ------------------------------
+  // --- Component hooks (the executing node) --------------------------------
   void OnLookupServed(NodeId owner, SimTime now) {
     series_.AddLookup(owner, now);
   }
@@ -97,7 +97,7 @@ class LoadMonitor : public sim::TelemetrySink {
     series_.AddMutation(owner, now);
   }
   // Buffer-pool activity on `owner`'s store, flushed as deltas by the Data
-  // Store facade after each store operation (owning node's thread).
+  // Store facade after each store operation.
   void OnStoreAccess(NodeId owner, uint64_t hits, uint64_t faults,
                      SimTime now) {
     series_.AddStoreAccess(owner, hits, faults, now);
@@ -129,8 +129,8 @@ class LoadMonitor : public sim::TelemetrySink {
   };
 
   TimeSeries series_;
-  // Indexed by NodeId; grown only at Register (workers parked), entries
-  // written only by the owning node's thread.
+  // Indexed by NodeId; grown only at Register, entries written only by
+  // the node's own events.
   std::vector<NodeLog> logs_;
   std::vector<SimTime> last_refresh_;
 };

@@ -8,7 +8,7 @@ namespace pepper::telemetry {
 
 TimeSeries::TimeSeries(SimTime window_length, size_t capacity)
     : window_length_(window_length == 0 ? 1 : window_length),
-      capacity_(capacity == 0 ? 1 : capacity) {}
+      capacity_(std::max<size_t>(capacity, 2)) {}
 
 void TimeSeries::OnRegister(NodeId id) {
   if (nodes_.size() <= id) nodes_.resize(id + 1);
@@ -28,42 +28,12 @@ WindowCounters& TimeSeries::Slot(NodeId node, SimTime now) {
   return slot.c;
 }
 
-void TimeSeries::AddTimeout(NodeId callee, SimTime now) {
-  auto& lane = timeout_lanes_[static_cast<size_t>(tls_metrics_lane)];
-  if (lane == nullptr) {
-    // First timeout from this lane: the owning thread allocates its own
-    // ring (the pointer slot is fixed, so no other thread touches it).
-    lane = std::make_unique<LaneRing>();
-    lane->slots.resize(capacity_);
-  }
-  const uint64_t w = WindowOf(now);
-  LaneSlot& slot = lane->slots[w % capacity_];
-  if (slot.window != w) {
-    if (slot.window != kNoWindow && !slot.counts.empty()) ++lane->recycled;
-    slot.window = w;
-    slot.counts.clear();
-  }
-  for (auto& entry : slot.counts) {
-    if (entry.first == callee) {
-      ++entry.second;
-      return;
-    }
-  }
-  slot.counts.emplace_back(callee, 1);
-}
-
 WindowCounters TimeSeries::CollectTotals(uint64_t window) const {
   WindowCounters total;
   for (const NodeRing& ring : nodes_) {
     if (ring.slots.empty()) continue;
     const NodeSlot& slot = ring.slots[window % capacity_];
     if (slot.window == window) total.Add(slot.c);
-  }
-  for (const auto& lane : timeout_lanes_) {
-    if (lane == nullptr) continue;
-    const LaneSlot& slot = lane->slots[window % capacity_];
-    if (slot.window != window) continue;
-    for (const auto& entry : slot.counts) total.rpc_timeouts += entry.second;
   }
   return total;
 }
@@ -73,36 +43,22 @@ std::vector<std::pair<NodeId, WindowCounters>> TimeSeries::CollectWindow(
   std::vector<std::pair<NodeId, WindowCounters>> out;
   for (NodeId id = 0; id < nodes_.size(); ++id) {
     const NodeRing& ring = nodes_[id];
-    WindowCounters c;
-    if (!ring.slots.empty()) {
-      const NodeSlot& slot = ring.slots[window % capacity_];
-      if (slot.window == window) c = slot.c;
-    }
-    c.rpc_timeouts += TimeoutsFor(id, window);
-    if (c.any()) out.emplace_back(id, c);
+    if (ring.slots.empty()) continue;
+    const NodeSlot& slot = ring.slots[window % capacity_];
+    if (slot.window == window && slot.c.any()) out.emplace_back(id, slot.c);
   }
   return out;
 }
 
 uint64_t TimeSeries::TimeoutsFor(NodeId node, uint64_t window) const {
-  uint64_t total = 0;
-  for (const auto& lane : timeout_lanes_) {
-    if (lane == nullptr) continue;
-    const LaneSlot& slot = lane->slots[window % capacity_];
-    if (slot.window != window) continue;
-    for (const auto& entry : slot.counts) {
-      if (entry.first == node) total += entry.second;
-    }
-  }
-  return total;
+  if (node >= nodes_.size() || nodes_[node].slots.empty()) return 0;
+  const NodeSlot& slot = nodes_[node].slots[window % capacity_];
+  return slot.window == window ? slot.c.rpc_timeouts : 0;
 }
 
 uint64_t TimeSeries::slots_recycled() const {
   uint64_t total = 0;
   for (const NodeRing& ring : nodes_) total += ring.recycled;
-  for (const auto& lane : timeout_lanes_) {
-    if (lane != nullptr) total += lane->recycled;
-  }
   return total;
 }
 
@@ -114,10 +70,6 @@ uint64_t TimeSeries::OldestWindow() const {
   for (const NodeRing& ring : nodes_) {
     for (const NodeSlot& slot : ring.slots) consider(slot.window);
   }
-  for (const auto& lane : timeout_lanes_) {
-    if (lane == nullptr) continue;
-    for (const LaneSlot& slot : lane->slots) consider(slot.window);
-  }
   return oldest;
 }
 
@@ -125,15 +77,6 @@ uint64_t TimeSeries::NewestWindow() const {
   uint64_t newest = kNoWindow;
   for (const NodeRing& ring : nodes_) {
     for (const NodeSlot& slot : ring.slots) {
-      if (slot.window != kNoWindow &&
-          (newest == kNoWindow || slot.window > newest)) {
-        newest = slot.window;
-      }
-    }
-  }
-  for (const auto& lane : timeout_lanes_) {
-    if (lane == nullptr) continue;
-    for (const LaneSlot& slot : lane->slots) {
       if (slot.window != kNoWindow &&
           (newest == kNoWindow || slot.window > newest)) {
         newest = slot.window;

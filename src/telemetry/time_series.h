@@ -1,12 +1,10 @@
 #ifndef PEPPER_TELEMETRY_TIME_SERIES_H_
 #define PEPPER_TELEMETRY_TIME_SERIES_H_
 
-#include <array>
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
-#include "common/stats.h"
 #include "sim/message.h"
 
 namespace pepper::telemetry {
@@ -15,7 +13,7 @@ using sim::NodeId;
 using sim::SimTime;
 
 // Windowed time-series storage for per-peer load counters — the substrate
-// under LoadMonitor, built on the PR 6 lane discipline of common/stats.h.
+// under LoadMonitor.
 //
 // Window contract:
 //   * Window boundaries sit at deterministic sim-time multiples:
@@ -23,25 +21,22 @@ using sim::SimTime;
 //     event lands in is a pure function of its simulated instant, so the
 //     windowed view is bit-identical across shard counts.
 //   * All values are unsigned integer event counts.  Integer addition is
-//     exactly associative and commutative, so any partition of the writers
-//     (1 shard, 4 shards) merges to the same totals — the same
-//     argument that keeps laned Counters and ExactSum shard-invariant.
+//     exactly associative and commutative, so the order the partition
+//     cores add in (1 shard, 4 shards) cannot change a total.
 //
 // Storage discipline:
-//   * The hot per-peer counts live in per-node rings written ONLY by the
-//     node's owning shard thread (delivery, lookup, scan and mutation hooks
-//     all execute there) — single-writer, no locks, direct indexing.
-//   * The one cross-thread signal (RPC timeouts, observed by the caller but
-//     charged to the callee) is lane-striped: each metrics lane appends to
-//     its own sparse per-window slots, merged at read time — exactly the
-//     laned-metrics merge.
+//   * Every count lives in its peer's ring, indexed directly by NodeId.
+//     RPC timeouts are observed by the caller and charged to the callee's
+//     ring.
 //   * Rings hold the most recent `capacity` windows per node (flight-
 //     recorder semantics); overwritten windows are counted in
 //     slots_recycled() and reported, never silently dropped.
-//
-// Reads (Collect*) happen only from the control context at barriers or
-// between runs, where the simulator's synchronization orders them after
-// every lane write — the same read-side contract as Counters::Get.
+//   * Writes to one ring come in time order, except that a timeout charged
+//     from the caller's core can precede the callee core's own writes at
+//     earlier instants of the same lookahead window.  With windows no
+//     shorter than the lookahead, such a pair is at most one window
+//     apart, and a ring keeps at least two, so the two writes land in
+//     different slots and neither evicts the other.
 
 // Per-window integer load counters for one peer/arc.
 struct WindowCounters {
@@ -76,8 +71,8 @@ class TimeSeries {
  public:
   static constexpr uint64_t kNoWindow = ~0ull;
 
-  // `window_length` in sim microseconds; `capacity` windows are retained
-  // per node (and per lane for the striped timeout series).
+  // `window_length` in sim microseconds; `capacity` (at least 2) windows
+  // are retained per node.
   TimeSeries(SimTime window_length, size_t capacity);
 
   SimTime window_length() const { return window_length_; }
@@ -86,10 +81,10 @@ class TimeSeries {
   SimTime WindowStart(uint64_t w) const { return w * window_length_; }
 
   // Grows the per-node ring table; control context only (Simulator
-  // registration path), workers parked.
+  // registration path).
   void OnRegister(NodeId id);
 
-  // --- Writers (owning node's thread) --------------------------------------
+  // --- Writers (the executing node) ----------------------------------------
   void AddLookup(NodeId node, SimTime now) { Slot(node, now).lookups++; }
   void AddScan(NodeId node, SimTime now) { Slot(node, now).scans++; }
   void AddMutation(NodeId node, SimTime now) { Slot(node, now).mutations++; }
@@ -105,16 +100,18 @@ class TimeSeries {
     c.store_faults += faults;
   }
 
-  // --- Writer (caller's thread, charged to `callee`) -----------------------
-  void AddTimeout(NodeId callee, SimTime now);
+  // --- Writer (the caller, charged to `callee`) ----------------------------
+  void AddTimeout(NodeId callee, SimTime now) {
+    Slot(callee, now).rpc_timeouts++;
+  }
 
   // --- Control-context reads -----------------------------------------------
-  // Sums the named window across every node ring and timeout lane.
+  // Sums the named window across every node ring.
   WindowCounters CollectTotals(uint64_t window) const;
   // Per-node counters for one window, ascending NodeId, empty rows skipped.
   std::vector<std::pair<NodeId, WindowCounters>> CollectWindow(
       uint64_t window) const;
-  // RPC timeouts charged to `node` in `window` (merged across lanes).
+  // RPC timeouts charged to `node` in `window`.
   uint64_t TimeoutsFor(NodeId node, uint64_t window) const;
   // Windows overwritten by ring wraparound (flight-recorder loss figure).
   uint64_t slots_recycled() const;
@@ -132,28 +129,11 @@ class TimeSeries {
     std::vector<NodeSlot> slots;  // capacity-sized on first touch
     uint64_t recycled = 0;
   };
-  // Sparse per-lane timeout slots: (callee, count) pairs per window.  Rare
-  // events (a timeout costs a full RPC deadline), so linear scans are fine.
-  struct LaneSlot {
-    uint64_t window = kNoWindow;
-    std::vector<std::pair<NodeId, uint64_t>> counts;
-  };
-  struct LaneRing {
-    std::vector<LaneSlot> slots;
-    uint64_t recycled = 0;
-  };
-
   WindowCounters& Slot(NodeId node, SimTime now);
 
   SimTime window_length_;
   size_t capacity_;
-  // Indexed by NodeId; grown only at Register (control context, workers
-  // parked — the Tracer::OnRegister discipline), so worker writes never
-  // race a reallocation.
-  std::vector<NodeRing> nodes_;
-  // One timeout ring per metrics lane, allocated lazily by its owning
-  // thread (the pointer array itself is fixed, so there is no race).
-  std::array<std::unique_ptr<LaneRing>, kMaxMetricLanes> timeout_lanes_;
+  std::vector<NodeRing> nodes_;  // indexed by NodeId, grown at Register
 };
 
 }  // namespace pepper::telemetry

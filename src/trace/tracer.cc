@@ -76,7 +76,10 @@ void Tracer::Enable(size_t ring_capacity, uint64_t sample_every,
   sample_every_ = sample_every == 0 ? 1 : sample_every;
   ring_capacity_ = ring_capacity;
   if (counters_.size() < num_nodes) counters_.resize(num_nodes);
-  for (auto& lane : lanes_) lane.reset();
+  ring_.clear();
+  ring_.reserve(ring_capacity);
+  next_ = 0;
+  written_ = 0;
 }
 
 bool Tracer::Sampled(uint64_t trace_id) const {
@@ -84,26 +87,14 @@ bool Tracer::Sampled(uint64_t trace_id) const {
   return Mix64(seed_ ^ trace_id) % sample_every_ == 0;
 }
 
-Tracer::LaneRing& Tracer::Lane() {
-  auto& slot = lanes_[static_cast<size_t>(tls_metrics_lane)];
-  if (slot == nullptr) {
-    // First record from this lane: the owning thread allocates its own ring
-    // (the pointer slot is pre-sized, so no other thread touches it).
-    slot = std::make_unique<LaneRing>();
-    slot->buf.reserve(ring_capacity_);
-  }
-  return *slot;
-}
-
 void Tracer::Record(const SpanRecord& rec) {
-  LaneRing& lane = Lane();
-  if (lane.buf.size() < ring_capacity_) {
-    lane.buf.push_back(rec);
+  if (ring_.size() < ring_capacity_) {
+    ring_.push_back(rec);
   } else {
-    lane.buf[lane.next] = rec;  // flight recorder: overwrite the oldest
-    lane.next = (lane.next + 1) % ring_capacity_;
+    ring_[next_] = rec;  // flight recorder: overwrite the oldest
+    next_ = (next_ + 1) % ring_capacity_;
   }
-  ++lane.written;
+  ++written_;
 }
 
 OpToken Tracer::StartOp(NodeId node, SimTime now, const char* name,
@@ -168,33 +159,15 @@ void Tracer::OnDeliver(const sim::Message& msg, NodeId to, SimTime now) {
   tls_ctx_ = ctx;
 }
 
-size_t Tracer::record_count() const {
-  size_t total = 0;
-  for (const auto& lane : lanes_) {
-    if (lane != nullptr) total += lane->buf.size();
-  }
-  return total;
-}
+size_t Tracer::record_count() const { return ring_.size(); }
 
-uint64_t Tracer::records_dropped() const {
-  uint64_t total = 0;
-  for (const auto& lane : lanes_) {
-    if (lane != nullptr) total += lane->written - lane->buf.size();
-  }
-  return total;
-}
+uint64_t Tracer::records_dropped() const { return written_ - ring_.size(); }
 
 std::vector<SpanRecord> Tracer::Merged() const {
-  std::vector<SpanRecord> out;
-  out.reserve(record_count());
-  for (const auto& lane : lanes_) {
-    if (lane != nullptr) {
-      out.insert(out.end(), lane->buf.begin(), lane->buf.end());
-    }
-  }
+  std::vector<SpanRecord> out = ring_;
   // (end, key) is a total order: keys are unique composites of the emitting
-  // node and its record counter, so the merged sequence is the same for any
-  // lane layout — the flight-recorder analogue of the laned-metrics merge.
+  // node and its record counter, so the sorted sequence does not depend on
+  // the order the partition cores emitted records in.
   std::sort(out.begin(), out.end(),
             [](const SpanRecord& a, const SpanRecord& b) {
               if (a.end != b.end) return a.end < b.end;

@@ -1,13 +1,10 @@
 #ifndef PEPPER_TRACE_TRACER_H_
 #define PEPPER_TRACE_TRACER_H_
 
-#include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/stats.h"
 #include "sim/message.h"
 
 namespace pepper::trace {
@@ -24,16 +21,18 @@ namespace pepper::trace {
 //   * Span/trace ids are (origin node, per-node counter) pairs, and the
 //     sampling decision is a hash of (seed, trace id) — no RNG draws, no
 //     wall clock — so the same seed emits bit-identical trace output at any
-//     shard count (absent ring-buffer eviction, which is lane-local).
+//     shard count (absent ring-buffer eviction: which records are oldest
+//     within one lookahead window depends on the order the partition cores
+//     took their turns in).
 //   * Tracing never touches the simulator's RNG streams, event seqs or
 //     MetricsHub, so a run's schedule and metrics CSV are bit-identical
 //     with tracing off, on, or at a different sampling rate.
 //
-// Records land in per-lane (control + one per shard worker) fixed-capacity
-// ring buffers — the flight recorder — and are merged at read time on
-// (end time, composite record key), the same discipline as the laned
-// metrics.  Export formats: Chrome-trace/Perfetto JSON, a deterministic
-// text dump, and per-key causal histories for audit-failure forensics.
+// Records land in one fixed-capacity ring buffer — the flight recorder,
+// which keeps the newest `ring_capacity` records — and are sorted at read
+// time on (end time, composite record key).  Export formats:
+// Chrome-trace/Perfetto JSON, a deterministic text dump, and per-key causal
+// histories for audit-failure forensics.
 
 using sim::NodeId;
 using sim::SimTime;
@@ -81,7 +80,7 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  // Turns tracing on.  `ring_capacity` is per lane (records); 1-in-
+  // Turns tracing on.  `ring_capacity` is in records; 1-in-
   // `sample_every` root operations start a trace; `num_nodes` pre-sizes the
   // per-node counters for nodes registered before enabling.  Call from the
   // control context only (the simulator owner), before or between runs.
@@ -89,7 +88,7 @@ class Tracer {
   bool enabled() const { return enabled_; }
 
   // Grows the per-node counters; called by Simulator::Register (control
-  // context, workers parked).  No-op while disabled — Enable() catches up.
+  // context).  No-op while disabled — Enable() catches up.
   void OnRegister(NodeId id) {
     if (enabled_ && counters_.size() <= id) counters_.resize(id + 1);
   }
@@ -121,7 +120,7 @@ class Tracer {
   uint64_t records_dropped() const;  // overwritten by ring wraparound
   uint64_t sample_every() const { return sample_every_; }
 
-  // Every live record, merged across lanes on (end, key) — a total order.
+  // Every live record, sorted on (end, key) — a total order.
   std::vector<SpanRecord> Merged() const;
   // Deterministic line-per-record text dump of the merged recorder.
   std::string DumpText() const;
@@ -137,11 +136,6 @@ class Tracer {
   std::string ChromeTraceJson(const std::string& root_prefix = "") const;
 
  private:
-  struct LaneRing {
-    std::vector<SpanRecord> buf;  // capacity-sized once, then overwritten
-    size_t next = 0;
-    uint64_t written = 0;
-  };
   struct NodeCtr {
     uint64_t span = 0;
     uint64_t rec = 0;
@@ -155,7 +149,6 @@ class Tracer {
   }
   bool Sampled(uint64_t trace_id) const;
   void Record(const SpanRecord& rec);
-  LaneRing& Lane();
 
   static thread_local TraceContext tls_ctx_;
 
@@ -163,10 +156,12 @@ class Tracer {
   bool enabled_ = false;
   uint64_t sample_every_ = 1;
   size_t ring_capacity_ = 0;
-  std::vector<NodeCtr> counters_;  // grown at Register, control-only
-  // One ring per metrics lane, allocated lazily by its owning thread (the
-  // pointer array itself is pre-sized at Enable, so there is no race).
-  std::array<std::unique_ptr<LaneRing>, kMaxMetricLanes> lanes_;
+  std::vector<NodeCtr> counters_;  // grown at Register
+  // The flight recorder: grows to ring_capacity_, then `next_` overwrites
+  // the oldest record.
+  std::vector<SpanRecord> ring_;
+  size_t next_ = 0;
+  uint64_t written_ = 0;
 };
 
 }  // namespace pepper::trace

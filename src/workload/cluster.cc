@@ -88,12 +88,6 @@ Cluster::Cluster(ClusterOptions options)
   if (monitor_ != nullptr) {
     sim_->set_telemetry_sink(monitor_.get());
   }
-  if (sim_->shard_count() > 1) {
-    // Worker threads record latencies into per-thread lanes; pre-allocate
-    // them before any worker touches a histogram.  (One core runs on the
-    // control thread, where a lane-less histogram is already race-free.)
-    metrics_.EnableConcurrentLanes();
-  }
   if (options_.trace) {
     sim_->EnableTracing(options_.trace_ring_capacity,
                         options_.trace_sample_every);
@@ -112,8 +106,8 @@ PeerStack* Cluster::MakeStack() {
   ropts.metrics = &metrics_;
   stack->ring = std::make_unique<ring::RingNode>(sim_.get(), /*val=*/0, ropts);
   if (monitor_ != nullptr) {
-    // Control context (peer creation runs with workers parked); every peer
-    // node gets its telemetry slot before it can receive a message.
+    // Control context; every peer node gets its telemetry slot before it
+    // can receive a message.
     monitor_->OnRegister(stack->ring->id());
   }
 

@@ -34,10 +34,10 @@ struct PeerStack {
 
 struct ClusterOptions {
   uint64_t seed = 42;
-  // Engine cores the nodes are partitioned across.  0 and 1 both run one
-  // core inline on the calling thread; N > 1 runs N worker threads under
-  // conservative-lookahead windows.  Results (CSV, counters, audits) are
-  // bit-identical for every value at a given seed.
+  // Partition cores the nodes are split across.  0 and 1 both mean one
+  // core; N > 1 runs N cores one after another on the calling thread inside
+  // each conservative-lookahead window.  Results (CSV, counters, audits)
+  // are bit-identical for every value at a given seed.
   uint32_t shards = 0;
   sim::NetworkOptions net;
   ring::RingOptions ring;
@@ -56,7 +56,8 @@ struct ClusterOptions {
   // Causal tracing (trace/tracer.h).  Off by default: compiled in, zero
   // schedule impact either way (same seed replays bit-identically with
   // tracing off or on).  `trace_sample_every` = 1-in-N root-op sampling;
-  // `trace_ring_capacity` is the per-lane flight-recorder size in records.
+  // `trace_ring_capacity` is the flight-recorder size in records; when it
+  // wraps, the newest records are kept.
   bool trace = false;
   uint64_t trace_sample_every = 1;
   size_t trace_ring_capacity = 1 << 16;
@@ -142,10 +143,10 @@ class Cluster {
 
  private:
   // Routes data-store placement events to the oracle through the
-  // simulator's control context (Simulator::Defer): inline when
-  // single-threaded, at the window barrier — ordered by (event time,
-  // origin seq) — under sharding, where the oracle's timeline is
-  // cluster-global state that shard workers must not touch directly.
+  // simulator's control context (Simulator::Defer): inline from control,
+  // at the window barrier — ordered by (event time, origin seq) — from a
+  // node's event, since the oracle's timeline is cluster-global state that
+  // node events must not touch directly.
   class DeferredObserver : public datastore::DataStoreObserver {
    public:
     DeferredObserver(sim::Simulator* sim, history::LivenessOracle* oracle,
@@ -158,9 +159,9 @@ class Cluster {
       sim_->Defer([this, peer, skv]() { oracle_->OnDrop(peer, skv); });
     }
     // Telemetry takes this one DIRECTLY, not through Defer: the monitor's
-    // arc log is per-node single-writer storage owned by the firing node's
-    // thread, and a deferred event would perturb the sharded event counts
-    // (telemetry must be schedule-invisible).  The oracle tracks items, not
+    // arc log is per-node storage written by the firing node's own events,
+    // and a deferred event would add control events to the run's event
+    // count (telemetry must be schedule-invisible).  The oracle tracks items, not
     // arcs, so nothing here touches cluster-global state.
     void OnRangeChange(sim::NodeId peer, const RingRange& range,
                        bool active) override {

@@ -114,8 +114,8 @@ void WorkloadDriver::ArmInsert(uint64_t epoch) {
       const sim::SimTime issued = cluster_->sim().now();
       // Completion runs on the serving node's execution; the oracle timeline
       // is cluster-global, so the body routes through the control context
-      // (inline single-threaded; at the barrier — with now() still reporting
-      // the completion instant — under sharding).
+      // (at the window barrier, with now() still reporting the completion
+      // instant).
       via->index->InsertItem(item, [this, oracle, key,
                                     issued](const Status& s) {
         cluster_->sim().Defer([this, oracle, key, issued, s]() {

@@ -144,14 +144,20 @@ void BuildHierarchies(Cluster& c) {
 }
 
 TEST(RouterDeadEndTest, DeadForwardHopIsCountedAndLookupStillCompletes) {
-  // Kill the owner of the probe key and look it up immediately through the
-  // owner's ring predecessor: the forward goes to the dead owner and times
-  // out after 4 ping timeouts (80 ms).  Failure detection is slowed to a
-  // 2 s ping cadence, so the ring fallback still reports the same (not yet
-  // repaired) successor — the dead end the counter must see — unless a ping
-  // happens to land in those 80 ms (a few percent of seeds; not this one).
-  // The initiator-side retries then complete the lookup once the ring has
-  // repaired and the successor has taken over.
+  // Kill the owner of the probe key together with its ring successor, and
+  // look the key up immediately through the owner's ring predecessor.  The
+  // forward goes to the dead owner and times out after 4 ping timeouts
+  // (80 ms).  The ring fallback then re-reads the predecessor's successor:
+  // if it is still the dead owner, the lookup dead-ends there — the event
+  // the counter must see.  If a ping dropped the owner meanwhile, the
+  // fallback forwards to the owner's successor, which is dead too, and
+  // 80 ms later the second fallback finds that same successor and
+  // dead-ends.  Failure detection is slowed to a 2 s ping cadence, so at
+  // most one ping of the predecessor falls inside those 160 ms whatever
+  // its phase, and one ping drops at most one successor: one of the two
+  // fallbacks always dead-ends.  The initiator-side retries then complete
+  // the lookup once the ring has repaired and the next live peer has taken
+  // over both arcs.
   ClusterOptions o = ClusterOptions::FastDefaults();
   o.seed = 91;
   o.ring.ping_period = 2 * sim::kSecond;
@@ -172,7 +178,14 @@ TEST(RouterDeadEndTest, DeadForwardHopIsCountedAndLookupStillCompletes) {
   PeerStack* via = c.FindPeer(owner->ring->pred_id());
   ASSERT_NE(via, nullptr);
   ASSERT_NE(via, owner);
+  const auto next = owner->ring->GetSuccRelaxed();
+  ASSERT_TRUE(next.has_value());
+  PeerStack* owner_succ = c.FindPeer(next->id);
+  ASSERT_NE(owner_succ, nullptr);
+  ASSERT_NE(owner_succ, via);
+  ASSERT_NE(owner_succ, owner);
   c.FailPeer(owner);
+  c.FailPeer(owner_succ);
 
   const Status s = LookupFrom(c, via, probe, 60 * sim::kSecond);
   EXPECT_TRUE(s.ok()) << s.ToString();

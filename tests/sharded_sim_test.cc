@@ -1,13 +1,15 @@
-// Sharded-engine tests: the conservative-lookahead parallel simulator must
-// be indistinguishable from itself at any shard count — same metrics, same
+// Sharded-engine tests: the conservative-lookahead simulator must be
+// indistinguishable from itself at any shard count — same metrics, same
 // event order at shard boundaries, FIFO across cross-shard channels — and
 // must keep fail-stop semantics when a node dies or unregisters with
-// cross-shard messages still in flight.
+// cross-shard messages still in flight.  Every partition core runs on the
+// calling thread.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/node.h"
@@ -25,10 +27,11 @@ struct SeqMsg : Payload {
   int seq = 0;
 };
 
-// Same-instant events on DIFFERENT shards are causally independent and may
-// execute in any wall order — the engine only defines order where streams
-// converge: deliveries merging into one node's queue, and Defer()ed work
-// merging into the control heap.  Both merges key on (time, composite seq),
+// Same-instant events on DIFFERENT shards are causally independent, and
+// their execution order depends on the order the cores take their turns in
+// — the engine only defines order where streams converge: deliveries
+// merging into one node's queue, and Defer()ed work merging into the
+// control heap.  Both merges key on (time, composite seq),
 // where the seq depends only on the origin node and its per-node counter —
 // never on the shard layout — so the converged order is identical for every
 // shard count.
@@ -76,6 +79,38 @@ TEST(ShardedSimTest, ShardBoundaryTieBreakIsShardCountInvariant) {
     for (const auto& s : senders) expect_defers.push_back(s->id());
     EXPECT_EQ(deferred, expect_defers) << "shards=" << shards;
   }
+}
+
+// --- No worker threads -------------------------------------------------------
+
+// The partition cores take their turns on the thread that drives the
+// simulator: node events, deliveries and timers all see the caller's id.
+TEST(ShardedSimTest, PartitionCoresRunOnTheCallingThread) {
+  Simulator sim(29, NetworkOptions{}, /*shards=*/4);
+  std::vector<std::unique_ptr<Node>> nodes;
+  for (int i = 0; i < 8; ++i) nodes.push_back(std::make_unique<Node>(&sim));
+  const std::thread::id caller = std::this_thread::get_id();
+  int events = 0;
+  int foreign = 0;
+  const auto check = [&]() {
+    ++events;
+    if (std::this_thread::get_id() != caller) ++foreign;
+  };
+  for (const auto& n : nodes) {
+    n->On<SeqMsg>([&check](const Message&, const SeqMsg&) { check(); });
+  }
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    Node* n = nodes[i].get();
+    Node* peer = nodes[(i + 1) % nodes.size()].get();
+    n->After(kMillisecond, [n, peer, &check]() {
+      check();
+      n->Send(peer->id(), std::make_shared<SeqMsg>());
+    });
+    n->Every(5 * kMillisecond, check, kMillisecond);
+  }
+  sim.RunFor(50 * kMillisecond);
+  EXPECT_GT(events, 8 * 3);
+  EXPECT_EQ(foreign, 0);
 }
 
 // --- Cross-shard FIFO per channel -------------------------------------------
@@ -228,9 +263,9 @@ ReplayResult RunClusterReplay(uint64_t seed, uint32_t shards,
   copts.seed = seed;
   copts.shards = shards;
   copts.trace = trace;
-  // Big enough that nothing is evicted: ring eviction is lane-local, and
-  // lane layouts differ across shard counts — the identity contract only
-  // covers the un-evicted record stream.
+  // Big enough that nothing is evicted: which records are oldest inside one
+  // lookahead window depends on the order the cores took their turns in,
+  // so the identity contract only covers the un-evicted record stream.
   copts.trace_ring_capacity = 1 << 18;
   Cluster cluster(copts);
   cluster.Bootstrap(500000);
@@ -270,19 +305,21 @@ ReplayResult RunClusterReplay(uint64_t seed, uint32_t shards,
 TEST(ShardedSimTest, ClusterReplayIsIdenticalAcrossShardCounts) {
   for (uint64_t seed : {42ull, 7ull, 1234ull}) {
     const ReplayResult one = RunClusterReplay(seed, 1);
-    for (uint32_t shards : {2u, 4u}) {
+    for (uint32_t shards : {2u, 3u, 4u}) {
       const ReplayResult other = RunClusterReplay(seed, shards);
       EXPECT_EQ(other.report, one.report)
           << "metrics diverged: seed " << seed << " shards " << shards;
       EXPECT_EQ(other.messages, one.messages) << "seed " << seed;
+      EXPECT_EQ(other.events, one.events)
+          << "seed " << seed << " shards " << shards;
       EXPECT_EQ(other.live, one.live) << "seed " << seed;
     }
   }
 }
 
 // There is one engine: `shards` 0 (the ClusterOptions default) and 1 both
-// run a single core inline on the control thread, so their full-precision
-// reports must not differ by a byte.
+// run a single core, so their full-precision reports must not differ by a
+// byte.
 TEST(ShardedSimTest, ShardsZeroAndOneAreTheSameEngine) {
   for (uint64_t seed : {42ull, 7ull}) {
     const ReplayResult zero = RunClusterReplay(seed, 0);

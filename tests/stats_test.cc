@@ -24,8 +24,8 @@ TEST(HistogramTest, MemoryIsBucketsNotSamples) {
   EXPECT_EQ(h.MemoryBytes(), empty_bytes);
   EXPECT_EQ(h.MemoryBytes(), sizeof(Histogram));
   // Constant overhead beyond the bucket array: the exact-sum accumulator
-  // (34 limbs), min/max, and the lazy extra-lane pointer.  Still O(buckets),
-  // independent of sample count.
+  // (34 limbs) and the sample count.  Still O(buckets), independent of
+  // sample count.
   static_assert(sizeof(Histogram) <
                     (Histogram::kBucketCount + 48) * sizeof(uint64_t),
                 "histogram footprint must stay O(buckets)");

@@ -197,7 +197,7 @@ TEST(LoadMonitorClusterTest, AttributionIsConservedAcrossReorgs) {
   for (uint64_t w = oldest; w <= newest; ++w) {
     const WindowCounters totals = series.CollectTotals(w);
     // Per-arc rows partition the window: summing them reproduces the
-    // totals field-for-field (the lane-striped timeouts included).
+    // totals field-for-field (the callee-charged timeouts included).
     WindowCounters sum;
     for (const auto& [node, counters] : series.CollectWindow(w)) {
       sum.Add(counters);
@@ -307,7 +307,7 @@ BuiltinParams QuickParams(double scale = 0.15) {
 
 // The exported timeline artifact — JSON and the text report's hot-arc
 // lines — must be byte-identical across shard counts: same seed, same
-// bytes, whether the run was partitioned over 1, 2 or 4 lanes.
+// bytes, whether the run was partitioned over 1, 2 or 4 cores.
 TEST(TimelineScenarioTest, TimelineJsonIsByteIdenticalAcrossShards) {
   const auto scenario = MakeBuiltin("hotspot_shift", QuickParams());
   ASSERT_TRUE(scenario.has_value());

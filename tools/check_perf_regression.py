@@ -17,12 +17,6 @@ deterministic, so CI machine variance does not apply):
 so refresh-traffic regressions fail the nightly job like throughput
 regressions do.
 
-When the fresh report carries a scenario "shards" block, the N-shard
-speedup over the scenario probe (one inline engine core, the same report)
-must reach --min-shard-speedup (default 2.0) -- but only when the report's
-host_cores >= N; on smaller hosts the speedup is printed for the trend and
-not gated.
-
 When the fresh report carries a scenario "trace" block (the causal-tracing
 A/B on long_churn --paper --scale=20), two more gates run:
   * tracing-OFF overhead: the fresh off-arm events/sec must stay within
@@ -87,7 +81,6 @@ def main(argv):
         return 2
     max_regress = 0.20
     max_hops_drift = 0.05
-    min_shard_speedup = 2.0
     max_trace_overhead = 0.05
     max_telemetry_overhead = 0.05
     max_store_overhead = 0.05
@@ -96,8 +89,6 @@ def main(argv):
             max_regress = float(o.split("=", 1)[1])
         elif o.startswith("--max-hops-drift="):
             max_hops_drift = float(o.split("=", 1)[1])
-        elif o.startswith("--min-shard-speedup="):
-            min_shard_speedup = float(o.split("=", 1)[1])
         elif o.startswith("--max-trace-overhead="):
             max_trace_overhead = float(o.split("=", 1)[1])
         elif o.startswith("--max-telemetry-overhead="):
@@ -177,30 +168,6 @@ def main(argv):
             failed = True
         print(f"  router_hops_ratio (A/B)      {hops_ratio:14.3f}"
               f"  (bound {1.0 + max_hops_drift:.2f})  {status}")
-
-    # --- Sharded-engine gate (same-report ratio, machine-independent) -------
-    sh = (fresh_scn or {}).get("shards")
-    if sh:
-        if sh.get("parallel_audits_ok") is False:
-            print("sharded scenario run had audit violations")
-            failed = True
-        # Parallel speedup: only meaningful when the host actually has the
-        # cores; a 1-core runner records speedup for the trend but cannot
-        # gate on it.
-        speedup = sh.get("speedup")
-        cores = sh.get("host_cores", 0)
-        n = sh.get("n", 0)
-        if speedup is not None:
-            if cores >= n:
-                status = "OK"
-                if speedup < min_shard_speedup:
-                    status = "REGRESSED"
-                    failed = True
-                print(f"  shards={n} speedup             {speedup:14.2f}x"
-                      f"  (bound {min_shard_speedup:.2f}x)  {status}")
-            else:
-                print(f"  shards={n} speedup             {speedup:14.2f}x"
-                      f"  (not gated: host_cores={cores} < {n})")
 
     # --- Causal-tracing gates ------------------------------------------------
     tr = (fresh_scn or {}).get("trace")

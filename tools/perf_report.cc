@@ -4,8 +4,8 @@
 // wall-clock probe: long_churn --paper --scale=N with all audits fatal.
 //
 //   perf_report [--out=BENCH_simcore.json] [--scale=20] [--seed=42]
-//               [--quick] [--skip-scenario] [--shards=4] [--skip-shards]
-//               [--trace-sample=64] [--skip-trace] [--skip-telemetry]
+//               [--quick] [--skip-scenario] [--trace-sample=64]
+//               [--skip-trace] [--skip-telemetry]
 //
 // CI compares a fresh report against the committed BENCH_simcore.json with
 // tools/check_perf_regression.py and fails on a >20% events/sec regression.
@@ -18,7 +18,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 
 #include "sim_core_microbench.h"
 
@@ -59,7 +58,7 @@ struct ScenarioProbe {
 };
 
 ScenarioProbe RunScenarioProbe(double scale, uint64_t seed,
-                               bool batched_refresh, uint32_t shards = 0,
+                               bool batched_refresh,
                                uint64_t trace_sample = 0,
                                bool telemetry = false, bool paged = false) {
   ScenarioProbe probe;
@@ -71,7 +70,6 @@ ScenarioProbe RunScenarioProbe(double scale, uint64_t seed,
   options.cluster = pepper::workload::ClusterOptions::PaperDefaults();
   options.cluster.seed = seed;
   options.cluster.hrf_batched_refresh = batched_refresh;
-  options.cluster.shards = shards;
   if (paged) {
     // Zero page_io_latency: the paged engine must replay the in-memory
     // event schedule bit-identically — replay_identical gates it.
@@ -145,11 +143,9 @@ int main(int argc, char** argv) {
   bool quick = false;
   bool skip_scenario = false;
   bool skip_router_ab = false;
-  bool skip_shards = false;
   bool skip_trace = false;
   bool skip_telemetry = false;
   bool skip_store = false;
-  uint32_t shards = 4;
   uint64_t trace_sample = 64;
 
   for (int i = 1; i < argc; ++i) {
@@ -165,10 +161,6 @@ int main(int argc, char** argv) {
       skip_scenario = true;
     } else if (std::strcmp(argv[i], "--skip-router-ab") == 0) {
       skip_router_ab = true;
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = static_cast<uint32_t>(std::strtoul(argv[i] + 9, nullptr, 10));
-    } else if (std::strcmp(argv[i], "--skip-shards") == 0) {
-      skip_shards = true;
     } else if (std::strncmp(argv[i], "--trace-sample=", 15) == 0) {
       trace_sample = std::strtoull(argv[i] + 15, nullptr, 10);
       if (trace_sample == 0) trace_sample = 1;
@@ -182,7 +174,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: perf_report [--out=FILE] [--scale=F] [--seed=N] "
                    "[--quick] [--skip-scenario] [--skip-router-ab] "
-                   "[--shards=N] [--skip-shards] [--trace-sample=N] "
+                   "[--trace-sample=N] "
                    "[--skip-trace] [--skip-telemetry] [--skip-store]\n");
       return 2;
     }
@@ -197,7 +189,6 @@ int main(int argc, char** argv) {
 
   ScenarioProbe probe;
   ScenarioProbe baseline;
-  ScenarioProbe shard_par;
   ScenarioProbe trace_on;
   ScenarioProbe telemetry_on;
   ScenarioProbe store_on;
@@ -240,26 +231,6 @@ int main(int argc, char** argv) {
                                                  baseline.hops_mean
                                            : 0.0);
     }
-    if (!skip_shards && shards >= 2) {
-      // The N-shard arm, same seed/scale, against the probe above (one
-      // inline core): parallel speedup, gated only when the host actually
-      // has >= N cores -- the engine is deterministic regardless, so audits
-      // always gate.
-      std::printf("running the engine on worker threads: --shards=%u ...\n",
-                  shards);
-      shard_par = RunScenarioProbe(scale, seed, /*batched_refresh=*/true,
-                                   shards);
-      std::printf("  wall %.1fs (%.0f events/sec), audits %s, "
-                  "speedup %.2fx over 1 shard (host cores: %u)\n",
-                  shard_par.wall_seconds,
-                  static_cast<double>(shard_par.events) /
-                      shard_par.wall_seconds,
-                  shard_par.ok ? "green" : "VIOLATED",
-                  shard_par.wall_seconds > 0.0
-                      ? probe.wall_seconds / shard_par.wall_seconds
-                      : 0.0,
-                  std::thread::hardware_concurrency());
-    }
     if (!skip_trace) {
       // The tracing-on arm, same seed/scale, 1-in-N root sampling.  The
       // probe above IS the tracing-off arm (tracing compiled in,
@@ -268,7 +239,7 @@ int main(int argc, char** argv) {
       std::printf("running the tracing-on arm (sampled 1-in-%llu)...\n",
                   static_cast<unsigned long long>(trace_sample));
       trace_on = RunScenarioProbe(scale, seed, /*batched_refresh=*/true,
-                                  /*shards=*/0, trace_sample);
+                                  trace_sample);
       std::printf("  wall %.1fs (off: %.1fs, overhead %.1f%%), %llu trace "
                   "records, audits %s, replay %s\n",
                   trace_on.wall_seconds, probe.wall_seconds,
@@ -289,7 +260,7 @@ int main(int argc, char** argv) {
       // on healthy paper-scale churn.
       std::printf("running the telemetry-on arm (health probes fatal)...\n");
       telemetry_on = RunScenarioProbe(scale, seed, /*batched_refresh=*/true,
-                                      /*shards=*/0, /*trace_sample=*/0,
+                                      /*trace_sample=*/0,
                                       /*telemetry=*/true);
       std::printf("  wall %.1fs (off: %.1fs, overhead %.1f%%), audits %s, "
                   "replay %s\n",
@@ -311,7 +282,7 @@ int main(int argc, char** argv) {
       // whole-system correctness check the B+-tree can get.
       std::printf("running the paged-store arm (page_io_latency=0)...\n");
       store_on = RunScenarioProbe(scale, seed, /*batched_refresh=*/true,
-                                  /*shards=*/0, /*trace_sample=*/0,
+                                  /*trace_sample=*/0,
                                   /*telemetry=*/false, /*paged=*/true);
       const uint64_t accesses = store_on.store_hits + store_on.store_faults;
       std::printf("  wall %.1fs (map: %.1fs, overhead %.1f%%), hit rate "
@@ -341,9 +312,6 @@ int main(int argc, char** argv) {
               micro.timer_fires_per_sec) << ",\n";
   json << "    \"timer_arm_cancel_per_sec\": " << static_cast<uint64_t>(
               micro.timer_arm_cancel_per_sec) << ",\n";
-  json << "    \"sharded_sends_per_sec\": " << static_cast<uint64_t>(
-              micro.sharded_sends_per_sec) << ",\n";
-  json << "    \"sharded_n\": " << micro.sharded_n << ",\n";
   json << "    \"peak_rss_kb\": " << micro.peak_rss_kb << "\n  }";
   if (probe.ran) {
     json << ",\n  \"scenario\": {\n";
@@ -460,24 +428,6 @@ int main(int argc, char** argv) {
                    : 0.0) << "\n";
       json << "    },\n";
     }
-    if (shard_par.ran) {
-      json << "    \"shards\": {\n";
-      json << "      \"host_cores\": "
-           << std::thread::hardware_concurrency() << ",\n";
-      json << "      \"n\": " << shards << ",\n";
-      json << "      \"parallel_wall_seconds\": "
-           << shard_par.wall_seconds << ",\n";
-      json << "      \"parallel_events_per_sec\": "
-           << static_cast<uint64_t>(static_cast<double>(shard_par.events) /
-                                    shard_par.wall_seconds) << ",\n";
-      json << "      \"parallel_audits_ok\": "
-           << (shard_par.ok ? "true" : "false") << ",\n";
-      json << "      \"speedup\": "
-           << (shard_par.wall_seconds > 0.0
-                   ? probe.wall_seconds / shard_par.wall_seconds
-                   : 0.0) << "\n";
-      json << "    },\n";
-    }
     json << "    \"peak_rss_kb\": " << pepper::bench::PeakRssKb()
          << "\n  }";
   }
@@ -492,7 +442,7 @@ int main(int argc, char** argv) {
   std::printf("report written to %s\n", out_path.c_str());
   const bool violations =
       (probe.ran && !probe.ok) || (baseline.ran && !baseline.ok) ||
-      (shard_par.ran && !shard_par.ok) || (trace_on.ran && !trace_on.ok) ||
+      (trace_on.ran && !trace_on.ok) ||
       (telemetry_on.ran && !telemetry_on.ok) ||
       (store_on.ran && !store_on.ok);
   return violations ? 1 : 0;

@@ -44,10 +44,10 @@ void PrintUsage() {
       "  --seed=N        cluster seed (default 42)\n"
       "  --scale=F       duration/wave scale factor (default 1.0)\n"
       "  --paper         paper-scale cluster timers (Section 6.1 defaults)\n"
-      "  --shards=N      partition the simulator over N worker threads\n"
-      "                  (conservative lookahead; default 0 = one core run\n"
-      "                  inline, same as 1; results are bit-identical for\n"
-      "                  any N)\n"
+      "  --shards=N      partition the nodes over N simulator cores, run\n"
+      "                  one after another on one thread in conservative-\n"
+      "                  lookahead windows (default 0 = one core, same as\n"
+      "                  1; results are bit-identical for any N)\n"
       "  --store=BACKEND item-store backend: map (default, in-memory) or\n"
       "                  paged (page arena + bounded buffer pool + per-arc\n"
       "                  B+-tree); at --page-io-latency=0 both replay\n"
