@@ -244,8 +244,8 @@ class DataStoreNode : public sim::ProtocolComponent {
   // Visits every stored (item, epoch) in ascending key order.
   void ForEachItem(
       const std::function<void(const Item&, uint64_t)>& fn) const;
-  // Materialized copies, for callers that need a container (manifest
-  // builds, test assertions).  O(n); prefer ForEachItem on hot paths.
+  // Materialized copies, for callers that need a container (test
+  // assertions).  O(n); prefer ForEachItem on hot paths.
   std::map<Key, Item> ItemsSnapshot() const;
   std::map<Key, uint64_t> ItemEpochsSnapshot() const;
 

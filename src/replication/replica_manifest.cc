@@ -4,29 +4,12 @@
 
 namespace pepper::replication {
 
-namespace {
-
-inline uint64_t Fnv1a(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xffu;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-}  // namespace
-
 ReplicaManifest BuildManifest(const std::map<Key, uint64_t>& epochs,
                               uint64_t version) {
   ReplicaManifest m;
   m.version = version;
   m.count = epochs.size();
-  uint64_t h = 0xcbf29ce484222325ull;  // FNV offset basis
-  for (const auto& kv : epochs) {
-    h = Fnv1a(h, kv.first);
-    h = Fnv1a(h, kv.second);
-  }
-  m.hash = h;
+  for (const auto& kv : epochs) m.hash += ManifestTerm(kv.first, kv.second);
   return m;
 }
 

@@ -69,6 +69,30 @@ ReplicationManager::ReplicationManager(ring::RingNode* ring,
 
 ReplicationManager::~ReplicationManager() = default;
 
+void ReplicaGroup::Upsert(const datastore::Item& item, uint64_t epoch) {
+  auto [it, inserted] = epochs_.try_emplace(item.skv, epoch);
+  if (!inserted) {
+    hash_ -= ManifestTerm(item.skv, it->second);
+    it->second = epoch;
+  }
+  hash_ += ManifestTerm(item.skv, epoch);
+  items_.insert_or_assign(item.skv, item);
+}
+
+void ReplicaGroup::Erase(Key skv) {
+  auto it = epochs_.find(skv);
+  if (it == epochs_.end()) return;
+  hash_ -= ManifestTerm(skv, it->second);
+  epochs_.erase(it);
+  items_.erase(skv);
+}
+
+void ReplicaGroup::Reset() {
+  items_.clear();
+  epochs_.clear();
+  hash_ = 0;
+}
+
 sim::SimTime ReplicationManager::anti_entropy_period() const {
   return options_.anti_entropy_period != 0 ? options_.anti_entropy_period
                                            : 8 * options_.refresh_period;
@@ -127,8 +151,11 @@ void ReplicationManager::RefreshTick() {
 const ReplicaManifest& ReplicationManager::OwnManifest() {
   if (!own_manifest_valid_ ||
       own_manifest_.version != ds_->mutation_epoch()) {
-    own_manifest_ =
-        BuildManifest(ds_->ItemEpochsSnapshot(), ds_->mutation_epoch());
+    own_manifest_ = ReplicaManifest{ds_->mutation_epoch(), 0, 0};
+    ds_->ForEachItem([this](const datastore::Item& item, uint64_t epoch) {
+      ++own_manifest_.count;
+      own_manifest_.hash += ManifestTerm(item.skv, epoch);
+    });
     own_manifest_valid_ = true;
   }
   return own_manifest_;
@@ -208,7 +235,11 @@ void ReplicationManager::PushNow(std::function<void(bool)> settled) {
   }
   const uint64_t version = ds_->mutation_epoch();
   const ReplicaManifest manifest = OwnManifest();
-  const auto current = ds_->ItemEpochsSnapshot();
+  std::vector<std::pair<Key, uint64_t>> current;
+  current.reserve(ds_->ItemCount());
+  ds_->ForEachItem([&current](const datastore::Item& item, uint64_t epoch) {
+    current.emplace_back(item.skv, epoch);
+  });
   const int hops = static_cast<int>(options_.replication_factor) - 1;
 
   size_t snapshot_cost = kManifestWireBytes;
@@ -224,21 +255,27 @@ void ReplicationManager::PushNow(std::function<void(bool)> settled) {
     delta->from_version = last_push_version_;
     delta->manifest = manifest;
     delta->hops_left = hops;
+    // Merge-join of two key-ascending lists: keys new or re-stamped since
+    // the base are upserts (fetched in key order), keys only in the base
+    // are deletes.
+    auto base = last_push_epochs_.begin();
+    const auto base_end = last_push_epochs_.end();
     for (const auto& kv : current) {
-      auto base = last_push_epochs_.find(kv.first);
-      if (base == last_push_epochs_.end() || base->second != kv.second) {
-        datastore::Item item;
-        if (ds_->FindItem(kv.first, &item)) {
-          delta->upserts.push_back(std::move(item));
-          delta->upsert_epochs.push_back(kv.second);
-        }
+      while (base != base_end && base->first < kv.first) {
+        delta->deletes.push_back((base++)->first);
+      }
+      if (base != base_end && base->first == kv.first) {
+        const bool unchanged = base->second == kv.second;
+        ++base;
+        if (unchanged) continue;
+      }
+      datastore::Item item;
+      if (ds_->FindItem(kv.first, &item)) {
+        delta->upserts.push_back(std::move(item));
+        delta->upsert_epochs.push_back(kv.second);
       }
     }
-    for (const auto& kv : last_push_epochs_) {
-      if (current.find(kv.first) == current.end()) {
-        delta->deletes.push_back(kv.first);
-      }
-    }
+    for (; base != base_end; ++base) delta->deletes.push_back(base->first);
     size_t delta_cost =
         kManifestWireBytes + delta->deletes.size() * kDeleteWireBytes;
     for (const auto& it : delta->upserts) delta_cost += WireBytes(it);
@@ -260,7 +297,7 @@ void ReplicationManager::PushNow(std::function<void(bool)> settled) {
     Inc(m_push_bytes_, snapshot_cost);
   }
   Inc(m_pushes_);
-  last_push_epochs_ = current;
+  last_push_epochs_ = std::move(current);
   last_push_version_ = version;
   chain_warm_ = true;
 }
@@ -307,11 +344,9 @@ void ReplicationManager::ApplySnapshot(const ReplicaPushMsg& push) {
     return;
   }
   group.owner_val = push.owner_val;
-  group.items.clear();
-  group.epochs.clear();
+  group.Reset();
   for (size_t i = 0; i < push.items.size(); ++i) {
-    group.items[push.items[i].skv] = push.items[i];
-    group.epochs[push.items[i].skv] = push.epochs[i];
+    group.Upsert(push.items[i], push.epochs[i]);
   }
   group.version = push.manifest.version;
   group.refreshed_at = now();
@@ -360,23 +395,22 @@ void ReplicationManager::HandleDelta(const sim::Message& msg,
       Inc(m_stale_deltas_);
     } else if (group.version == delta.from_version) {
       for (size_t i = 0; i < delta.upserts.size(); ++i) {
-        group.items[delta.upserts[i].skv] = delta.upserts[i];
-        group.epochs[delta.upserts[i].skv] = delta.upsert_epochs[i];
+        group.Upsert(delta.upserts[i], delta.upsert_epochs[i]);
       }
-      for (Key k : delta.deletes) {
-        group.items.erase(k);
-        group.epochs.erase(k);
-      }
-      group.version = delta.manifest.version;
-      group.owner_val = delta.owner_val;
-      group.refreshed_at = now();
-      group.ttl_strikes = 0;
+      for (Key k : delta.deletes) group.Erase(k);
       // End-to-end check: applying the exact diff must land on the owner's
       // manifest; anything else is divergence and gets the snapshot path.
-      if (BuildManifest(group.epochs, group.version) != delta.manifest) {
+      if (group.ManifestAt(delta.manifest.version) != delta.manifest) {
+        // The diverged copy keeps its pre-delta version and refresh time:
+        // it still serves revival, but must not outrank a verified copy
+        // when a revive picks the freshest answer.
         need_full = true;
         Inc(m_manifest_mismatches_);
       } else {
+        group.version = delta.manifest.version;
+        group.owner_val = delta.owner_val;
+        group.refreshed_at = now();
+        group.ttl_strikes = 0;
         Inc(m_delta_applies_);
         version = group.version;
       }
@@ -521,9 +555,7 @@ void ReplicationManager::HandleProbe(const sim::Message& msg,
     // Deliberately no refreshed_at bump: only pushes keep a group alive.
     // If this holder was displaced from the owner's chain, its copy must
     // still age out even while probes find it current.
-    const ReplicaGroup& group = it->second;
-    reply->divergent =
-        BuildManifest(group.epochs, group.version) != probe.manifest;
+    reply->divergent = it->second.Manifest() != probe.manifest;
   }
   Reply(msg, reply);
 }
@@ -549,14 +581,19 @@ void ReplicationManager::ReplicateExtraHop(
 
   std::vector<std::shared_ptr<ReplicaPushMsg>> msgs;
   for (const auto& kv : groups_) {
+    const ReplicaGroup& group = kv.second;
     auto m = std::make_shared<ReplicaPushMsg>();
     m->owner = kv.first;
-    m->owner_val = kv.second.owner_val;
-    for (const auto& item_kv : kv.second.items) {
+    m->owner_val = group.owner_val;
+    m->items.reserve(group.items().size());
+    m->epochs.reserve(group.epochs().size());
+    for (const auto& item_kv : group.items()) {
       m->items.push_back(item_kv.second);
-      m->epochs.push_back(kv.second.epochs.at(item_kv.first));
     }
-    m->manifest = BuildManifest(kv.second.epochs, kv.second.version);
+    for (const auto& epoch_kv : group.epochs()) {
+      m->epochs.push_back(epoch_kv.second);
+    }
+    m->manifest = group.Manifest();
     m->hops_left = 0;
     msgs.push_back(std::move(m));
   }
@@ -589,9 +626,9 @@ std::vector<datastore::Item> ReplicationManager::CollectReplicasIn(
     const RingRange& arc) {
   std::vector<datastore::Item> out;
   for (const auto& kv : groups_) {
-    for (const auto& item_kv : kv.second.items) {
-      if (arc.Contains(item_kv.first)) out.push_back(item_kv.second);
-    }
+    ForEachInRange(kv.second.items(), arc, [&out](const auto& item_kv) {
+      out.push_back(item_kv.second);
+    });
   }
   return out;
 }
@@ -620,12 +657,10 @@ void ReplicationManager::StartReviveSweep(
   // Owners whose groups hold something inside the swept range.
   auto candidates = std::make_shared<std::vector<sim::NodeId>>();
   for (const auto& kv : groups_) {
-    for (const auto& item_kv : kv.second.items) {
-      if (range.Contains(item_kv.first)) {
-        candidates->push_back(kv.first);
-        break;
-      }
-    }
+    bool holds = false;
+    ForEachInRange(kv.second.items(), range,
+                   [&holds](const auto&) { holds = true; });
+    if (holds) candidates->push_back(kv.first);
   }
   if (candidates->empty()) return;
   sweeping_ = true;
@@ -660,9 +695,10 @@ void ReplicationManager::StartReviveSweep(
           // Owner is dead: its group is the legitimate revival source.
           auto it = groups_.find(owner);
           if (it != groups_.end()) {
-            for (const auto& item_kv : it->second.items) {
-              if (range.Contains(item_kv.first)) promote(item_kv.second);
-            }
+            ForEachInRange(it->second.items(), range,
+                           [&promote](const auto& item_kv) {
+                             promote(item_kv.second);
+                           });
           }
           (*step)();
         });
@@ -672,7 +708,7 @@ void ReplicationManager::StartReviveSweep(
 
 bool ReplicationManager::HoldsReplica(Key skv) const {
   for (const auto& kv : groups_) {
-    if (kv.second.items.count(skv) > 0) return true;
+    if (kv.second.items().count(skv) > 0) return true;
   }
   return false;
 }

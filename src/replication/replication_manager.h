@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/key_space.h"
 #include "common/stats.h"
 #include "common/status.h"
 #include "datastore/data_store_node.h"
@@ -59,13 +60,34 @@ struct ReplicationOptions {
   MetricsHub* metrics = nullptr;  // optional, not owned
 };
 
+// Visits, in ascending key order, the entries of a key-ordered map whose
+// keys lie on `arc`: the entries, and the order, of a full scan filtered by
+// arc.Contains, found with upper_bound in O(log n + visited).  A wrapping
+// arc (lo, hi] with lo > hi is the run [min, hi] followed by (lo, max].
+template <typename Map, typename Fn>
+void ForEachInRange(const Map& map, const RingRange& arc, Fn&& fn) {
+  auto visit = [&fn](auto first, auto last) {
+    for (; first != last; ++first) fn(*first);
+  };
+  if (arc.IsEmpty()) return;
+  if (arc.full()) {
+    visit(map.begin(), map.end());
+  } else if (arc.lo() < arc.hi()) {
+    visit(map.upper_bound(arc.lo()), map.upper_bound(arc.hi()));
+  } else {
+    visit(map.begin(), map.upper_bound(arc.hi()));
+    visit(map.upper_bound(arc.lo()), map.end());
+  }
+}
+
 // A snapshot of one owner's items held as replicas (the box above each peer
-// in Figure 7), together with the owner-side epochs that version it.
-struct ReplicaGroup {
+// in Figure 7), together with the owner-side epochs that version it.  The
+// items, their epochs and the running manifest hash change only through
+// Upsert / Erase / Reset, so they cannot drift apart and the group's
+// manifest costs O(1).
+class ReplicaGroup {
+ public:
   Key owner_val = 0;
-  std::map<Key, datastore::Item> items;
-  // Owner mutation epoch of each item; keys mirror `items`.
-  std::map<Key, uint64_t> epochs;
   // Owner mutation epoch this copy reflects (the manifest version acked
   // back to the owner).
   uint64_t version = 0;
@@ -75,6 +97,25 @@ struct ReplicaGroup {
   // retained for revival, no matter how slowly the ring repairs, until the
   // strike budget runs out; any push from the owner resets the count.
   int ttl_strikes = 0;
+
+  const std::map<Key, datastore::Item>& items() const { return items_; }
+  // Owner mutation epoch of each item; keys mirror items().
+  const std::map<Key, uint64_t>& epochs() const { return epochs_; }
+
+  void Upsert(const datastore::Item& item, uint64_t epoch);
+  void Erase(Key skv);
+  void Reset();
+
+  // Equals BuildManifest(epochs(), at).
+  ReplicaManifest ManifestAt(uint64_t at) const {
+    return ReplicaManifest{at, epochs_.size(), hash_};
+  }
+  ReplicaManifest Manifest() const { return ManifestAt(version); }
+
+ private:
+  std::map<Key, datastore::Item> items_;
+  std::map<Key, uint64_t> epochs_;
+  uint64_t hash_ = 0;  // sum of ManifestTerm over epochs_
 };
 
 // Full-snapshot replica push: `owner`'s current item set, forwarded
@@ -266,8 +307,9 @@ class ReplicationManager : public sim::ProtocolComponent,
   // Owner-side book of holders that acked a push, keyed by peer id: the
   // delta base, the quiet-holder scan, and the repair-in-flight guard.
   std::map<sim::NodeId, HolderState> holders_;
-  // Epochs as of the last push (the delta base snapshot).
-  std::map<Key, uint64_t> last_push_epochs_;
+  // (key, epoch) of every item as of the last push, ascending by key (the
+  // delta base snapshot).
+  std::vector<std::pair<Key, uint64_t>> last_push_epochs_;
   uint64_t last_push_version_ = 0;
   bool chain_warm_ = false;  // a push went out since the last chain reset
   ReplicaManifest own_manifest_;

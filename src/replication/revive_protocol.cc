@@ -109,11 +109,9 @@ void ReviveProtocol::HandleQuery(const sim::Message& msg,
   for (const auto& kv : repl_->groups()) {
     const ReplicaGroup& group = kv.second;
     ReviveGroupInfo info;
-    for (const auto& item_kv : group.items) {
-      if (query.arc.Contains(item_kv.first)) {
-        info.items.push_back(item_kv.second);
-      }
-    }
+    ForEachInRange(group.items(), query.arc, [&info](const auto& item_kv) {
+      info.items.push_back(item_kv.second);
+    });
     if (info.items.empty()) continue;
     info.owner = kv.first;
     info.owner_val = group.owner_val;

@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <string>
+
 #include "cluster_test_util.h"
 #include "replication/replica_manifest.h"
 #include "replication/replication_manager.h"
+#include "sim/node.h"
 #include "workload/cluster.h"
 
 namespace pepper::workload {
@@ -44,6 +49,63 @@ TEST(ReplicaManifestTest, IdentityAndSensitivity) {
   std::map<Key, uint64_t> extra = epochs;
   extra[40] = 9;
   EXPECT_NE(a.hash, BuildManifest(extra, 5).hash);
+}
+
+// A holder's running manifest (kept by ReplicaGroup's upsert, erase and
+// reset) always equals a rebuild from its epochs, and still tells a one-key
+// or one-epoch difference apart.
+TEST(ReplicaManifestTest, RunningGroupManifestMatchesRebuild) {
+  sim::Rng rng(404);
+  ReplicaGroup group;
+  uint64_t epoch = 0;
+  for (int op = 0; op < 4000; ++op) {
+    const uint64_t dice = rng.Uniform(0, 99);
+    // A small key space, so upserts often re-stamp a held key and erases
+    // often miss.
+    const Key k = rng.Uniform(0, 63);
+    if (dice < 55) {
+      group.Upsert(datastore::Item{k, "d" + std::to_string(op)}, ++epoch);
+    } else if (dice < 95) {
+      group.Erase(k);
+    } else if (dice < 97) {
+      group.Reset();
+    }
+    group.version = epoch;
+    ASSERT_EQ(group.Manifest(), BuildManifest(group.epochs(), group.version))
+        << "after op " << op;
+    ASSERT_EQ(group.items().size(), group.epochs().size());
+  }
+  ASSERT_GT(group.epochs().size(), 1u);
+
+  const ReplicaManifest before = group.Manifest();
+  const Key held = group.epochs().begin()->first;
+  // One re-stamped epoch.
+  ReplicaGroup restamped = group;
+  restamped.Upsert(datastore::Item{held, "x"}, epoch + 1);
+  EXPECT_NE(restamped.Manifest(), before);
+  std::map<Key, uint64_t> epochs = group.epochs();
+  ++epochs[held];
+  EXPECT_NE(BuildManifest(epochs, group.version), before);
+  // One key more, one key fewer, and one key swapped at the same epoch.
+  ReplicaGroup grown = group;
+  grown.Upsert(datastore::Item{1000, "y"}, epoch + 1);
+  EXPECT_NE(grown.Manifest(), before);
+  ReplicaGroup shrunk = group;
+  shrunk.Erase(held);
+  EXPECT_NE(shrunk.Manifest(), before);
+  std::map<Key, uint64_t> swapped = group.epochs();
+  const uint64_t held_epoch = swapped.at(held);
+  swapped.erase(held);
+  swapped[1000] = held_epoch;
+  const ReplicaManifest swapped_at = BuildManifest(swapped, group.version);
+  EXPECT_EQ(swapped_at.count, before.count);
+  EXPECT_NE(swapped_at.hash, before.hash);
+  // Erasing a key that is not held changes nothing.
+  ReplicaGroup untouched = group;
+  untouched.Erase(1000);
+  EXPECT_EQ(untouched.Manifest(), before);
+  group.Reset();
+  EXPECT_EQ(group.Manifest(), BuildManifest({}, group.version));
 }
 
 // The facade stamps a fresh epoch on every mutation, so re-inserting a key
@@ -105,12 +167,15 @@ TEST(ReplicationDeltaTest, DeltaReconstructedGroupsMatchFreshSnapshots) {
         auto it = holder->repl->groups().find(owner->id());
         if (it == holder->repl->groups().end()) continue;
         const ReplicaGroup& group = it->second;
-        EXPECT_EQ(group.items, owner->ds->ItemsSnapshot())
+        EXPECT_EQ(group.items(), owner->ds->ItemsSnapshot())
             << "holder " << holder->id() << " of owner " << owner->id()
             << " diverged (seed " << seed << ")";
-        EXPECT_EQ(BuildManifest(group.epochs, group.version), fresh)
+        EXPECT_EQ(BuildManifest(group.epochs(), group.version), fresh)
             << "manifest mismatch at holder " << holder->id() << " of owner "
             << owner->id() << " (seed " << seed << ")";
+        EXPECT_EQ(group.Manifest(), fresh)
+            << "running manifest drifted at holder " << holder->id()
+            << " of owner " << owner->id() << " (seed " << seed << ")";
         ++groups_checked;
       }
     }
@@ -119,6 +184,70 @@ TEST(ReplicationDeltaTest, DeltaReconstructedGroupsMatchFreshSnapshots) {
     // alone.
     EXPECT_GT(c.metrics().counters().Get("repl.delta_pushes"), 0u);
   }
+}
+
+// A delta that applies but fails the manifest check leaves the holder's
+// copy at its pre-delta version: a revive picks the highest version among
+// the answers, so a diverged copy must not claim the owner's new version
+// over holders that verified the previous one.
+TEST(ReplicationDeltaTest, MismatchedDeltaKeepsPreDeltaVersion) {
+  ClusterOptions o = TestOptions(41, 3);
+  Cluster c(o);
+  c.Bootstrap(kKeySpan);
+  for (int i = 0; i < 10; ++i) c.AddFreePeer();
+  c.RunFor(sim::kSecond);
+  sim::Rng rng(41);
+  for (int i = 0; i < 40; ++i) (void)c.InsertItem(rng.Uniform(0, kKeySpan));
+  c.RunFor(4 * sim::kSecond);
+
+  // A holder whose copy of some owner's group is current.
+  PeerStack* owner = nullptr;
+  PeerStack* holder = nullptr;
+  for (PeerStack* o_peer : c.LiveMembers()) {
+    for (PeerStack* h_peer : c.LiveMembers()) {
+      if (h_peer == o_peer) continue;
+      auto it = h_peer->repl->groups().find(o_peer->id());
+      if (it != h_peer->repl->groups().end() &&
+          it->second.version == o_peer->ds->mutation_epoch()) {
+        owner = o_peer;
+        holder = h_peer;
+        break;
+      }
+    }
+    if (holder != nullptr) break;
+  }
+  ASSERT_NE(holder, nullptr);
+  const auto& group = holder->repl->groups().at(owner->id());
+  const uint64_t base = group.version;
+
+  // A delta from the holder's exact version whose manifest does not match
+  // what applying it produces.
+  auto delta = std::make_shared<replication::ReplicaDeltaMsg>();
+  delta->owner = owner->id();
+  delta->owner_val = owner->ring->val();
+  delta->from_version = base;
+  delta->upserts.push_back(datastore::Item{owner->ring->val(), "diverged"});
+  delta->upsert_epochs.push_back(base + 1);
+  delta->manifest = group.ManifestAt(base + 1);
+  delta->manifest.hash ^= 1;
+  delta->hops_left = 0;
+
+  const auto& counters = c.metrics().counters();
+  const uint64_t mismatches = counters.Get("repl.manifest_mismatches");
+  sim::Node sender(&c.sim());
+  sender.Send(holder->id(), delta);
+  // Step until the holder has handled it, well before the owner's
+  // snapshot repair (two more network hops) can land.
+  for (int i = 0; i < 10000 && counters.Get("repl.manifest_mismatches") ==
+                                   mismatches;
+       ++i) {
+    c.RunFor(100 * sim::kMicrosecond);
+  }
+  EXPECT_EQ(counters.Get("repl.manifest_mismatches"), mismatches + 1);
+  const auto& after = holder->repl->groups().at(owner->id());
+  EXPECT_EQ(after.version, base);
+  // The copy is kept (it still serves revival), with the delta applied.
+  EXPECT_EQ(after.items().at(owner->ring->val()).data, "diverged");
 }
 
 // The push-delivery audit: in a crash-free run (graceful departures only),

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "cluster_test_util.h"
 #include "replication/replication_manager.h"
 #include "workload/cluster.h"
@@ -81,7 +86,7 @@ TEST(ReplicationUnitTest, GroupsTrackOwnerDeletes) {
     if (!p->ring->alive()) continue;
     auto it = p->repl->groups().find(owner->id());
     if (it != p->repl->groups().end()) {
-      EXPECT_EQ(it->second.items.count(victim), 0u)
+      EXPECT_EQ(it->second.items().count(victim), 0u)
           << "stale replica of deleted item at peer " << p->id();
     }
   }
@@ -151,21 +156,93 @@ TEST(ReplicationUnitTest, RevivedItemsServeQueriesWithoutRefreshWindow) {
   EXPECT_TRUE(q.audit.correct);
 }
 
+// The reference the range lookups replace: a full scan filtered by
+// Contains, groups in owner order, items in key order within each group.
+std::vector<datastore::Item> FilteredScan(
+    const replication::ReplicationManager& repl, const RingRange& arc) {
+  std::vector<datastore::Item> out;
+  for (const auto& kv : repl.groups()) {
+    for (const auto& item_kv : kv.second.items()) {
+      if (arc.Contains(item_kv.first)) out.push_back(item_kv.second);
+    }
+  }
+  return out;
+}
+
 TEST(ReplicationUnitTest, CollectReplicasInFiltersByArc) {
   Cluster c(TestOptions(7, 3));
   Grow(c, 80, 13);
   c.RunFor(3 * sim::kSecond);
+  const std::vector<std::pair<const char*, RingRange>> arcs = {
+      {"plain", RingRange::OpenClosed(100000, 200000)},
+      {"wrapping", RingRange::OpenClosed(800000, 300000)},
+      {"full", RingRange::Full(500000)},
+      {"empty", RingRange::Empty()},
+  };
+  size_t collected = 0;
   for (PeerStack* p : c.LiveMembers()) {
-    // Everything collected from a narrow arc must lie inside it.
-    const RingRange arc = RingRange::OpenClosed(100000, 200000);
-    for (const auto& item : p->repl->CollectReplicasIn(arc)) {
-      EXPECT_TRUE(arc.Contains(item.skv));
-    }
-    // Owners listed for an arc must have their values inside it.
-    for (const auto& owner : p->repl->GroupOwnersIn(arc)) {
-      EXPECT_TRUE(arc.Contains(owner.second));
+    for (const auto& [shape, arc] : arcs) {
+      // Exactly the filtered scan's items, in its order: the takeover
+      // engine stores them in this order, stamping an epoch on each.
+      const auto got = p->repl->CollectReplicasIn(arc);
+      EXPECT_EQ(got, FilteredScan(*p->repl, arc))
+          << shape << " arc " << arc.ToString() << " at peer " << p->id();
+      collected += got.size();
+      // Owners listed for an arc must have their values inside it.
+      for (const auto& owner : p->repl->GroupOwnersIn(arc)) {
+        EXPECT_TRUE(arc.Contains(owner.second));
+      }
     }
   }
+  EXPECT_GT(collected, 0u);
+}
+
+// The range visit against Contains at the arc boundaries: lo excluded, hi
+// included, the smallest and largest keys, and every arc shape (plain,
+// wrapping across the top of the key space, full, empty).
+TEST(ReplicationUnitTest, ForEachInRangeMatchesContainsAtBoundaries) {
+  constexpr Key kMax = std::numeric_limits<Key>::max();
+  const std::vector<Key> keys = {0,   1,   99,  100,      101, 499,
+                                 500, 501, 900, kMax - 1, kMax};
+  std::map<Key, int> map;
+  for (Key k : keys) map.emplace(k, static_cast<int>(k % 7));
+  const std::vector<RingRange> arcs = {
+      // Plain arcs, including ones touching either end of the key space.
+      RingRange::OpenClosed(100, 500),
+      RingRange::OpenClosed(0, 500),
+      RingRange::OpenClosed(100, kMax),
+      RingRange::OpenClosed(0, kMax),
+      RingRange::OpenClosed(kMax - 1, kMax),
+      RingRange::OpenClosed(2, 3),
+      // Wrapping arcs.
+      RingRange::OpenClosed(500, 100),
+      RingRange::OpenClosed(kMax, 0),
+      RingRange::OpenClosed(kMax, 100),
+      RingRange::OpenClosed(500, 0),
+      // Full and empty.
+      RingRange::Full(500),
+      RingRange::Full(0),
+      RingRange::Empty(),
+      RingRange::OpenClosed(500, 500),
+  };
+  auto visited = [&map](const RingRange& arc) {
+    std::vector<Key> got;
+    replication::ForEachInRange(
+        map, arc, [&got](const auto& kv) { got.push_back(kv.first); });
+    return got;
+  };
+  for (const RingRange& arc : arcs) {
+    std::vector<Key> want;
+    for (const auto& kv : map) {
+      if (arc.Contains(kv.first)) want.push_back(kv.first);
+    }
+    EXPECT_EQ(visited(arc), want) << "arc " << arc.ToString();
+  }
+  // Spot checks of the boundary rules themselves.
+  EXPECT_EQ(visited(RingRange::OpenClosed(100, 500)),
+            (std::vector<Key>{101, 499, 500}));
+  EXPECT_EQ(visited(RingRange::OpenClosed(500, 1)),
+            (std::vector<Key>{0, 1, 501, 900, kMax - 1, kMax}));
 }
 
 }  // namespace
