@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "replication/revive_protocol.h"
@@ -85,6 +86,32 @@ void ReplicaGroup::Erase(Key skv) {
   hash_ -= ManifestTerm(skv, it->second);
   epochs_.erase(it);
   items_.erase(skv);
+}
+
+ReplicaManifest ReplicaGroup::ManifestAfter(
+    const std::vector<datastore::Item>& upserts,
+    const std::vector<uint64_t>& upsert_epochs,
+    const std::vector<Key>& deletes, uint64_t at) const {
+  // Final epoch of every key the delta touches (none: erased), applied in
+  // the order HandleDelta applies them — upserts, then deletes.
+  std::map<Key, std::optional<uint64_t>> touched;
+  for (size_t i = 0; i < upserts.size(); ++i) {
+    touched[upserts[i].skv] = upsert_epochs[i];
+  }
+  for (Key k : deletes) touched[k] = std::nullopt;
+  ReplicaManifest m = ManifestAt(at);
+  for (const auto& [skv, epoch] : touched) {
+    auto it = epochs_.find(skv);
+    if (it != epochs_.end()) {
+      m.hash -= ManifestTerm(skv, it->second);
+      --m.count;
+    }
+    if (epoch.has_value()) {
+      m.hash += ManifestTerm(skv, *epoch);
+      ++m.count;
+    }
+  }
+  return m;
 }
 
 void ReplicaGroup::Reset() {
@@ -394,19 +421,25 @@ void ReplicationManager::HandleDelta(const sim::Message& msg,
       version = group.version;
       Inc(m_stale_deltas_);
     } else if (group.version == delta.from_version) {
-      for (size_t i = 0; i < delta.upserts.size(); ++i) {
-        group.Upsert(delta.upserts[i], delta.upsert_epochs[i]);
-      }
-      for (Key k : delta.deletes) group.Erase(k);
-      // End-to-end check: applying the exact diff must land on the owner's
-      // manifest; anything else is divergence and gets the snapshot path.
-      if (group.ManifestAt(delta.manifest.version) != delta.manifest) {
-        // The diverged copy keeps its pre-delta version and refresh time:
-        // it still serves revival, but must not outrank a verified copy
-        // when a revive picks the freshest answer.
+      // End-to-end check, before touching the copy: applying the exact
+      // diff must land on the owner's manifest; anything else is divergence
+      // and gets the snapshot path.
+      if (group.ManifestAfter(delta.upserts, delta.upsert_epochs,
+                              delta.deletes, delta.manifest.version) !=
+          delta.manifest) {
+        // The copy stays as it was, at its pre-delta version and refresh
+        // time: it still serves revival, but cannot outrank a verified copy
+        // when a revive picks the freshest answer.  The owner is alive, so
+        // the copy must not age out before the repair snapshot lands.
+        group.owner_val = delta.owner_val;
+        group.ttl_strikes = 0;
         need_full = true;
         Inc(m_manifest_mismatches_);
       } else {
+        for (size_t i = 0; i < delta.upserts.size(); ++i) {
+          group.Upsert(delta.upserts[i], delta.upsert_epochs[i]);
+        }
+        for (Key k : delta.deletes) group.Erase(k);
         group.version = delta.manifest.version;
         group.owner_val = delta.owner_val;
         group.refreshed_at = now();
@@ -657,10 +690,7 @@ void ReplicationManager::StartReviveSweep(
   // Owners whose groups hold something inside the swept range.
   auto candidates = std::make_shared<std::vector<sim::NodeId>>();
   for (const auto& kv : groups_) {
-    bool holds = false;
-    ForEachInRange(kv.second.items(), range,
-                   [&holds](const auto&) { holds = true; });
-    if (holds) candidates->push_back(kv.first);
+    if (AnyInRange(kv.second.items(), range)) candidates->push_back(kv.first);
   }
   if (candidates->empty()) return;
   sweeping_ = true;

@@ -1,6 +1,7 @@
 #ifndef PEPPER_REPLICATION_REPLICATION_MANAGER_H_
 #define PEPPER_REPLICATION_REPLICATION_MANAGER_H_
 
+#include <array>
 #include <map>
 #include <memory>
 #include <utility>
@@ -60,24 +61,45 @@ struct ReplicationOptions {
   MetricsHub* metrics = nullptr;  // optional, not owned
 };
 
-// Visits, in ascending key order, the entries of a key-ordered map whose
-// keys lie on `arc`: the entries, and the order, of a full scan filtered by
-// arc.Contains, found with upper_bound in O(log n + visited).  A wrapping
-// arc (lo, hi] with lo > hi is the run [min, hi] followed by (lo, max].
+// The entries of a key-ordered map whose keys lie on `arc`, as at most two
+// iterator runs in ascending key order: the entries, and the order, of a
+// full scan filtered by arc.Contains, found with upper_bound in O(log n).
+// A wrapping arc (lo, hi] with lo > hi is the run [min, hi]
+// followed by (lo, max]; unused runs are empty.
+template <typename Map>
+auto RunsInRange(const Map& map, const RingRange& arc) {
+  using Run = std::pair<typename Map::const_iterator,
+                        typename Map::const_iterator>;
+  std::array<Run, 2> runs{Run{map.end(), map.end()},
+                          Run{map.end(), map.end()}};
+  if (arc.IsEmpty()) return runs;
+  if (arc.full()) {
+    runs[0] = {map.begin(), map.end()};
+  } else if (arc.lo() < arc.hi()) {
+    runs[0] = {map.upper_bound(arc.lo()), map.upper_bound(arc.hi())};
+  } else {
+    runs[0] = {map.begin(), map.upper_bound(arc.hi())};
+    runs[1] = {map.upper_bound(arc.lo()), map.end()};
+  }
+  return runs;
+}
+
+// Visits, in ascending key order, the entries of `map` whose keys lie on
+// `arc`, in O(log n + visited).
 template <typename Map, typename Fn>
 void ForEachInRange(const Map& map, const RingRange& arc, Fn&& fn) {
-  auto visit = [&fn](auto first, auto last) {
-    for (; first != last; ++first) fn(*first);
-  };
-  if (arc.IsEmpty()) return;
-  if (arc.full()) {
-    visit(map.begin(), map.end());
-  } else if (arc.lo() < arc.hi()) {
-    visit(map.upper_bound(arc.lo()), map.upper_bound(arc.hi()));
-  } else {
-    visit(map.begin(), map.upper_bound(arc.hi()));
-    visit(map.upper_bound(arc.lo()), map.end());
+  for (const auto& [first, last] : RunsInRange(map, arc)) {
+    for (auto it = first; it != last; ++it) fn(*it);
   }
+}
+
+// True if some key of `map` lies on `arc`, in O(log n).
+template <typename Map>
+bool AnyInRange(const Map& map, const RingRange& arc) {
+  for (const auto& [first, last] : RunsInRange(map, arc)) {
+    if (first != last) return true;
+  }
+  return false;
 }
 
 // A snapshot of one owner's items held as replicas (the box above each peer
@@ -111,6 +133,13 @@ class ReplicaGroup {
     return ReplicaManifest{at, epochs_.size(), hash_};
   }
   ReplicaManifest Manifest() const { return ManifestAt(version); }
+  // The manifest at `at` that upserting `upserts` (stamped `upsert_epochs`)
+  // and then erasing `deletes` would give, computed without changing the
+  // group, in O(delta log n): a delta is checked before it is applied.
+  ReplicaManifest ManifestAfter(const std::vector<datastore::Item>& upserts,
+                                const std::vector<uint64_t>& upsert_epochs,
+                                const std::vector<Key>& deletes,
+                                uint64_t at) const;
 
  private:
   std::map<Key, datastore::Item> items_;

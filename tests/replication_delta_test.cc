@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cluster_test_util.h"
 #include "replication/replica_manifest.h"
@@ -108,6 +109,40 @@ TEST(ReplicaManifestTest, RunningGroupManifestMatchesRebuild) {
   EXPECT_EQ(group.Manifest(), BuildManifest({}, group.version));
 }
 
+// A delta is checked before it is applied: the previewed manifest equals
+// the manifest after applying (upserts, then deletes), even for deltas that
+// repeat a key, erase what they just upserted, or erase what is not held.
+TEST(ReplicaManifestTest, DeltaPreviewMatchesApplying) {
+  sim::Rng rng(405);
+  ReplicaGroup group;
+  uint64_t epoch = 0;
+  for (int round = 0; round < 500; ++round) {
+    std::vector<datastore::Item> upserts;
+    std::vector<uint64_t> upsert_epochs;
+    std::vector<Key> deletes;
+    const uint64_t n_upserts = rng.Uniform(0, 6);
+    for (uint64_t i = 0; i < n_upserts; ++i) {
+      upserts.push_back(datastore::Item{rng.Uniform(0, 31), "u"});
+      upsert_epochs.push_back(++epoch);
+    }
+    const uint64_t n_deletes = rng.Uniform(0, 4);
+    for (uint64_t i = 0; i < n_deletes; ++i) {
+      deletes.push_back(rng.Uniform(0, 31));
+    }
+    const ReplicaGroup before = group;
+    const ReplicaManifest preview =
+        group.ManifestAfter(upserts, upsert_epochs, deletes, epoch);
+    ASSERT_EQ(group.Manifest(), before.Manifest());
+    ASSERT_EQ(group.epochs(), before.epochs());
+    for (size_t i = 0; i < upserts.size(); ++i) {
+      group.Upsert(upserts[i], upsert_epochs[i]);
+    }
+    for (Key k : deletes) group.Erase(k);
+    group.version = epoch;
+    ASSERT_EQ(preview, group.Manifest()) << "round " << round;
+  }
+}
+
 // The facade stamps a fresh epoch on every mutation, so re-inserting a key
 // with different data is visible to manifests.
 TEST(ReplicaManifestTest, FacadeEpochsAdvanceOnEveryMutation) {
@@ -186,10 +221,10 @@ TEST(ReplicationDeltaTest, DeltaReconstructedGroupsMatchFreshSnapshots) {
   }
 }
 
-// A delta that applies but fails the manifest check leaves the holder's
-// copy at its pre-delta version: a revive picks the highest version among
-// the answers, so a diverged copy must not claim the owner's new version
-// over holders that verified the previous one.
+// A delta that fails the manifest check is not applied: the holder's copy
+// stays exactly at its pre-delta state.  A revive picks the highest version
+// among the answers (ties by refresh time), so a diverged copy must claim
+// neither the owner's new version nor a fresher copy of the previous one.
 TEST(ReplicationDeltaTest, MismatchedDeltaKeepsPreDeltaVersion) {
   ClusterOptions o = TestOptions(41, 3);
   Cluster c(o);
@@ -219,6 +254,9 @@ TEST(ReplicationDeltaTest, MismatchedDeltaKeepsPreDeltaVersion) {
   ASSERT_NE(holder, nullptr);
   const auto& group = holder->repl->groups().at(owner->id());
   const uint64_t base = group.version;
+  const sim::SimTime refreshed_at = group.refreshed_at;
+  const std::map<Key, uint64_t> epochs = group.epochs();
+  const ReplicaManifest manifest = group.Manifest();
 
   // A delta from the holder's exact version whose manifest does not match
   // what applying it produces.
@@ -246,8 +284,13 @@ TEST(ReplicationDeltaTest, MismatchedDeltaKeepsPreDeltaVersion) {
   EXPECT_EQ(counters.Get("repl.manifest_mismatches"), mismatches + 1);
   const auto& after = holder->repl->groups().at(owner->id());
   EXPECT_EQ(after.version, base);
-  // The copy is kept (it still serves revival), with the delta applied.
-  EXPECT_EQ(after.items().at(owner->ring->val()).data, "diverged");
+  // The copy is kept (it still serves revival) exactly as it was: the
+  // rejected delta was not applied, so its version label stays true.
+  EXPECT_EQ(after.refreshed_at, refreshed_at);
+  EXPECT_EQ(after.epochs(), epochs);
+  EXPECT_EQ(after.Manifest(), manifest);
+  auto held = after.items().find(owner->ring->val());
+  EXPECT_TRUE(held == after.items().end() || held->second.data != "diverged");
 }
 
 // The push-delivery audit: in a crash-free run (graceful departures only),

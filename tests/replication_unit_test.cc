@@ -237,6 +237,8 @@ TEST(ReplicationUnitTest, ForEachInRangeMatchesContainsAtBoundaries) {
       if (arc.Contains(kv.first)) want.push_back(kv.first);
     }
     EXPECT_EQ(visited(arc), want) << "arc " << arc.ToString();
+    EXPECT_EQ(replication::AnyInRange(map, arc), !want.empty())
+        << "arc " << arc.ToString();
   }
   // Spot checks of the boundary rules themselves.
   EXPECT_EQ(visited(RingRange::OpenClosed(100, 500)),

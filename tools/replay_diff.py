@@ -2,15 +2,14 @@
 """Check that two pepper_bench builds replay the same schedule.
 
 Usage: replay_diff.py PARENT_BIN CHANGE_BIN [--seeds 100 101 200]
-                      [--workloads churn scan ...]
 
-Runs every workload BENCHMARK.json declares (or the --workloads subset) at
-each sub-run seed with both binaries, drops the host-time block ("host")
-from each run's JSON line, and compares the rest field by field: digest,
-simulated-time metrics, per-layer counts and latency lists.  Prints one
-line per (workload, seed) and exits 1 if any pair differs, so a change
-that must not move the simulated schedule can be checked against its
-parent build in one command.
+Runs every workload BENCHMARK.json declares at each sub-run seed with
+both binaries, drops the host-time block ("host") from each run's JSON
+line, and compares the rest field by field: digest, simulated-time
+metrics, per-layer counts and latency lists.  Prints one line per
+(workload, seed) and exits 1 if any pair differs, so a change that must
+not move the simulated schedule can be checked against its parent build
+in one command.
 """
 
 import argparse
@@ -56,16 +55,10 @@ def main():
     p.add_argument("parent_bin")
     p.add_argument("change_bin")
     p.add_argument("--seeds", type=int, nargs="+", default=[100, 101, 200])
-    p.add_argument("--workloads", nargs="+")
     args = p.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         workloads = [w["name"] for w in json.load(f)["workloads"]]
-    if args.workloads:
-        unknown = sorted(set(args.workloads) - set(workloads))
-        if unknown:
-            p.error("unknown workload(s): " + ", ".join(unknown))
-        workloads = args.workloads
 
     failed = 0
     for workload in workloads:
