@@ -128,7 +128,7 @@ inline double MeasureTimerThroughput(uint64_t total, int timers = 4096) {
   for (int i = 0; i < timers; ++i) {
     // Periods spread across wheel levels, phases de-synchronized.
     const sim::SimTime period = 1000 + 37 * (i % 97);
-    node.Every(period, [&fired] { ++fired; }, 1 + i % 1009);
+    node.Every("bench.tick", period, [&fired] { ++fired; }, 1 + i % 1009);
   }
   const auto start = std::chrono::steady_clock::now();
   while (fired < total && sim.Step()) {
@@ -144,7 +144,8 @@ inline double MeasureArmCancelThroughput(uint64_t pairs) {
   sim::Node node(&sim);
   const auto start = std::chrono::steady_clock::now();
   for (uint64_t i = 0; i < pairs; ++i) {
-    const uint64_t id = node.Every(1000 + (i % 64) * 64, [] {}, 500);
+    const uint64_t id =
+        node.Every("bench.tick", 1000 + (i % 64) * 64, [] {}, 500);
     node.CancelTimer(id);
     if ((i & 1023) == 0) sim.RunFor(1);  // let slots recycle now and then
   }

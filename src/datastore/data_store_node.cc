@@ -56,6 +56,7 @@ void DataStoreNode::Activate(RingRange range, std::vector<Item> items) {
     options_.observer->OnRangeChange(id(), range_, /*active=*/true);
   }
   store_->Clear();
+  ++content_version_;
   // Deletion memory is per incarnation: answering "recently deleted" for a
   // key this store only deleted in a previous life would wrongly ack a
   // fresh delete as idempotent.
@@ -89,6 +90,7 @@ void DataStoreNode::Deactivate() {
     for (Key skv : keys) options_.observer->OnDrop(id(), skv);
   }
   store_->Clear();
+  ++content_version_;
   active_ = false;
   range_ = RingRange::Empty();
   if (options_.observer != nullptr) {
@@ -109,12 +111,14 @@ void DataStoreNode::OnPredChanged() { takeover_->OnPredChanged(); }
 
 void DataStoreNode::StoreItem(const Item& item) {
   store_->Put(item, ++mutation_epoch_);
+  ++content_version_;
   if (options_.observer != nullptr) {
     options_.observer->OnStore(id(), item.skv);
   }
 }
 
 void DataStoreNode::DropItem(Key skv) {
+  ++content_version_;
   if (store_->Erase(skv)) {
     // A drop advances the group version too: replica manifests must
     // diverge from any copy still holding the item.

@@ -108,6 +108,16 @@ class ReplicationHooks {
   // after a predecessor failure (the Figure 9 takeover).
   virtual std::vector<Item> CollectReplicasIn(const RingRange& arc) = 0;
 
+  // True if `pred` holds for the key of some held replica inside `arc`;
+  // tests keys in place and stops at the first hit.
+  virtual bool AnyReplicaIn(const RingRange& arc,
+                            const std::function<bool(Key)>& pred) const = 0;
+
+  // Counts batches of items upserted into held replica groups.  Only an
+  // upsert can add a key to the held replicas; erases and group drops
+  // only remove keys.
+  virtual uint64_t replica_upserts() const = 0;
+
   // The replica-group owners (peer id, ring value) this peer knows of whose
   // values fall in `arc` — i.e. our recent predecessors.  Used to verify an
   // arc is really dead before extending our range over it.
@@ -266,6 +276,11 @@ class DataStoreNode : public sim::ProtocolComponent {
 
   // The epoch of the most recent mutation (0 before the first one).
   uint64_t mutation_epoch() const { return mutation_epoch_; }
+  // Bumped by every change to the stored item set: each StoreItem and
+  // DropItem, and the clears of activation and deactivation.  Unlike the
+  // mutation epoch it carries no replication meaning; it only tells a
+  // cached answer about the store's contents that it may be stale.
+  uint64_t content_version() const { return content_version_; }
   // True if `skv` was deleted here after `since_epoch` (bounded memory of
   // recent deletions).  Asynchronous revival paths snapshot the epoch when
   // they start and refuse to resurrect anything deleted since — a revive
@@ -406,6 +421,7 @@ class DataStoreNode : public sim::ProtocolComponent {
   // Stats already flushed to MetricsHub/telemetry (NoteStoreActivity).
   store::StoreStats flushed_;
   uint64_t mutation_epoch_ = 0;
+  uint64_t content_version_ = 0;
   // Epochs of recent deletions, FIFO-bounded (see DeletedSince).
   std::map<Key, uint64_t> recent_delete_epochs_;
   std::deque<std::pair<Key, uint64_t>> recent_delete_order_;

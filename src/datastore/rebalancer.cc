@@ -42,7 +42,8 @@ Rebalancer::Rebalancer(DataStoreNode* ds)
     HandleMergeAbort(m, req);
   });
   maintenance_timer_ =
-      Every(ds_->options().maintenance_period, [this]() { MaybeRebalance(); },
+      Every("ds.maintenance", ds_->options().maintenance_period,
+            [this]() { MaybeRebalance(); },
             RandomPhase(ds_->options().maintenance_period));
 }
 
@@ -65,14 +66,7 @@ void Rebalancer::MaybeRebalance() {
 void Rebalancer::MaybeStartReviveSweep() {
   ReplicationHooks* replication = ds_->replication();
   if (replication == nullptr || ds_->lock().write_held()) return;
-  bool missing = false;
-  for (const Item& it : replication->CollectReplicasIn(ds_->range())) {
-    if (!ds_->HasItem(it.skv)) {
-      missing = true;
-      break;
-    }
-  }
-  if (!missing) return;
+  if (!ReviveSweepNeeded()) return;
   replication->StartReviveSweep(ds_->range(), [this](const Item& it) {
     if (!ds_->active() || ds_->lock().write_held() ||
         !ds_->range().Contains(it.skv) || ds_->HasItem(it.skv)) {
@@ -85,6 +79,32 @@ void Rebalancer::MaybeStartReviveSweep() {
     }
     ds_->ReplicateMovedItems();
   });
+}
+
+// A "nothing missing" answer can only turn into "something missing" when
+// our range changes, the store loses a key, or a held replica gains one.
+// The first is compared directly; the store's content version moves on
+// every put, erase and clear, and the replicas' upsert count on every
+// applied snapshot or delta.  Replica erases and group drops only shrink
+// the set of held keys, so they need no invalidation.
+bool Rebalancer::ReviveSweepNeeded() {
+  ReplicationHooks* replication = ds_->replication();
+  if (replication == nullptr) return false;
+  ReviveProbe probe;
+  probe.range = ds_->range();
+  probe.content_version = ds_->content_version();
+  probe.replica_upserts = replication->replica_upserts();
+  const ReviveProbe& last = last_revive_probe_;
+  if (last.negative && last.range == probe.range &&
+      last.content_version == probe.content_version &&
+      last.replica_upserts == probe.replica_upserts) {
+    return false;
+  }
+  const bool missing = replication->AnyReplicaIn(
+      probe.range, [this](Key skv) { return !ds_->HasItem(skv); });
+  probe.negative = !missing;
+  last_revive_probe_ = probe;
+  return missing;
 }
 
 void Rebalancer::RequestLeave() {

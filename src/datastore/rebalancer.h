@@ -42,6 +42,12 @@ class Rebalancer : public sim::ProtocolComponent {
   // request (callers treat departure as best-effort).
   void RequestLeave();
 
+  // The revive sweep's trigger: does a held replica inside our range hold
+  // a key the store lacks?  Reuses the last "no" while our range, the
+  // store's content_version() and the held replicas' upsert count are all
+  // unchanged — nothing else can add a missing key (see the .cc).
+  bool ReviveSweepNeeded();
+
   // Test/bench observability.
   bool rebalancing() const { return rebalancing_; }
   bool merge_busy() const { return merge_busy_; }
@@ -91,6 +97,15 @@ class Rebalancer : public sim::ProtocolComponent {
   uint64_t takeover_epoch_ = 0;  // guards stale takeover-expiry timers
   sim::NodeId takeover_from_ = sim::kNullNode;
   uint64_t maintenance_timer_ = 0;
+
+  // What a negative ReviveSweepNeeded() probe saw; valid while `negative`.
+  struct ReviveProbe {
+    bool negative = false;
+    RingRange range;
+    uint64_t content_version = 0;
+    uint64_t replica_upserts = 0;
+  };
+  ReviveProbe last_revive_probe_;
 };
 
 }  // namespace pepper::datastore

@@ -1,5 +1,7 @@
 #include "history/oracle.h"
 
+#include <algorithm>
+
 namespace pepper::history {
 
 void LivenessOracle::OnStore(sim::NodeId peer, Key skv) {
@@ -54,13 +56,15 @@ bool LivenessOracle::IsLiveNow(Key skv) const {
 bool LivenessOracle::LiveThroughout(Key skv, sim::SimTime from,
                                     sim::SimTime to) const {
   auto it = keys_.find(skv);
-  if (it == keys_.end()) return false;
-  const KeyState& s = it->second;
+  return it != keys_.end() && LiveThroughout(it->second, from, to);
+}
+
+bool LivenessOracle::LiveThroughout(const KeyState& s, sim::SimTime from,
+                                    sim::SimTime to) {
   for (const auto& period : s.live) {
     if (period.first <= from && period.second >= to) return true;
   }
-  if (s.open_since.has_value() && *s.open_since <= from) return true;
-  return false;
+  return s.open_since.has_value() && *s.open_since <= from;
 }
 
 bool LivenessOracle::EverLiveIn(Key skv, sim::SimTime from,
@@ -79,8 +83,6 @@ LivenessOracle::QueryAudit LivenessOracle::CheckQuery(
     const Span& predicate, sim::SimTime start, sim::SimTime end,
     const std::vector<Key>& result) const {
   QueryAudit audit;
-  std::set<Key> result_set(result.begin(), result.end());
-
   // Condition 1: every returned item satisfies the predicate and was live
   // at some point during the query.
   for (Key k : result) {
@@ -89,11 +91,17 @@ LivenessOracle::QueryAudit LivenessOracle::CheckQuery(
     }
   }
   // Condition 2: every item satisfying the predicate and live throughout
-  // the query is in the result.
+  // the query is in the result.  Both sides are walked in key order, a
+  // merge-join: O(r log r) to sort the r result keys, then O(log n + m + r)
+  // for the m tracked keys inside the predicate.
+  std::vector<Key> sorted = result;
+  std::sort(sorted.begin(), sorted.end());
+  auto next = sorted.begin();
   for (auto it = keys_.lower_bound(predicate.lo); it != keys_.end(); ++it) {
     if (it->first > predicate.hi) break;
-    if (LiveThroughout(it->first, start, end) &&
-        result_set.count(it->first) == 0) {
+    if (!LiveThroughout(it->second, start, end)) continue;
+    while (next != sorted.end() && *next < it->first) ++next;
+    if (next == sorted.end() || *next != it->first) {
       audit.missing.push_back(it->first);
     }
   }

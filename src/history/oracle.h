@@ -75,6 +75,8 @@ class LivenessOracle : public datastore::DataStoreObserver {
   };
 
   void CloseIfEmpty(KeyState& state);
+  static bool LiveThroughout(const KeyState& s, sim::SimTime from,
+                             sim::SimTime to);
 
   sim::Simulator* sim_;
   std::map<Key, KeyState> keys_;

@@ -67,8 +67,9 @@ P2PIndex::P2PIndex(ring::RingNode* ring, datastore::DataStoreNode* ds,
         }
       });
 
-  Every(options_.watchdog_period, [this]() { Watchdog(); },
-               options_.watchdog_period);
+  // The watchdog only has work while a query is in flight here, so it is
+  // armed by the first RangeQuery and cancelled when the last one finishes.
+  watchdog_grid_ = now() + options_.watchdog_period;
 }
 
 // --- insert / delete ---------------------------------------------------------
@@ -219,6 +220,7 @@ void P2PIndex::RangeQuery(const Span& span, QueryFn done) {
   q.last_progress = q.started;
   q.naive = !options_.pepper_scan;
   q.op = TraceOp("index.query", span.lo);
+  if (queries_.empty()) ArmWatchdog();
   queries_.emplace(query_id, std::move(q));
   if (options_.metrics != nullptr) {
     options_.metrics->counters().Inc(m_queries_);
@@ -378,6 +380,10 @@ void P2PIndex::Finish(uint64_t query_id, const Status& status) {
   if (it == queries_.end()) return;
   ActiveQuery q = std::move(it->second);
   queries_.erase(it);
+  if (queries_.empty()) {
+    CancelTimer(watchdog_timer_);
+    watchdog_timer_ = 0;
+  }
   TraceFinish(q.op);
   std::vector<datastore::Item> items;
   items.reserve(q.items.size());
@@ -388,6 +394,17 @@ void P2PIndex::Finish(uint64_t query_id, const Status& status) {
         status.ok() ? m_queries_completed_ : m_queries_failed_);
   }
   q.done(status, std::move(items));
+}
+
+void P2PIndex::ArmWatchdog() {
+  const sim::SimTime period = options_.watchdog_period;
+  const sim::SimTime earliest = now() + sim()->lookahead();
+  sim::SimTime first = watchdog_grid_;
+  if (earliest > first) {
+    first += (earliest - first + period - 1) / period * period;
+  }
+  watchdog_timer_ = Every("index.watchdog", period, [this]() { Watchdog(); },
+                          first - now());
 }
 
 void P2PIndex::Watchdog() {

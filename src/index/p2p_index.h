@@ -61,6 +61,12 @@ class P2PIndex : public sim::ProtocolComponent {
   void RangeQuery(const Span& span, QueryFn done);
 
   size_t active_queries() const { return queries_.size(); }
+  // True while the watchdog timer is armed: exactly while a query is in
+  // flight at this peer.
+  bool watchdog_armed() const { return watchdog_timer_ != 0; }
+  // The instant of the watchdog's first tick had it run since construction;
+  // every tick lands on watchdog_grid() + k * watchdog_period.
+  sim::SimTime watchdog_grid() const { return watchdog_grid_; }
 
  private:
   struct ActiveQuery {
@@ -85,6 +91,10 @@ class P2PIndex : public sim::ProtocolComponent {
   void KickNaive(uint64_t query_id);
   void Finish(uint64_t query_id, const Status& status);
   void Watchdog();
+  // Arms the watchdog at the first point of its construction-time grid at
+  // least one lookahead out (the earliest a control-context arm can land),
+  // so ticks fall at the instants an always-on timer would have used.
+  void ArmWatchdog();
 
   void HandleStartScan(const sim::Message& msg, const StartScanRequest& req);
   void HandleQueryPartial(const sim::Message& msg, const QueryPartial& part);
@@ -109,6 +119,10 @@ class P2PIndex : public sim::ProtocolComponent {
   Counters::Id m_query_resumes_ = 0;
   Histogram* m_query_time_ = nullptr;
   std::map<uint64_t, ActiveQuery> queries_;
+  // First tick of the watchdog grid (construction time + period), and the
+  // timer id while armed (0 when idle).
+  sim::SimTime watchdog_grid_ = 0;
+  uint64_t watchdog_timer_ = 0;
 };
 
 }  // namespace pepper::index

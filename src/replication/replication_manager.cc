@@ -62,10 +62,10 @@ ReplicationManager::ReplicationManager(ring::RingNode* ring,
         HandleProbe(m, probe);
       });
   revive_ = std::make_unique<ReviveProtocol>(this);
-  Every(options_.refresh_period, [this]() { RefreshTick(); },
-        RandomPhase(options_.refresh_period));
-  Every(anti_entropy_period(), [this]() { AntiEntropyTick(); },
-        RandomPhase(anti_entropy_period()));
+  Every("repl.refresh", options_.refresh_period,
+        [this]() { RefreshTick(); }, RandomPhase(options_.refresh_period));
+  Every("repl.anti_entropy", anti_entropy_period(),
+        [this]() { AntiEntropyTick(); }, RandomPhase(anti_entropy_period()));
 }
 
 ReplicationManager::~ReplicationManager() = default;
@@ -375,6 +375,7 @@ void ReplicationManager::ApplySnapshot(const ReplicaPushMsg& push) {
   for (size_t i = 0; i < push.items.size(); ++i) {
     group.Upsert(push.items[i], push.epochs[i]);
   }
+  ++replica_upserts_;
   group.version = push.manifest.version;
   group.refreshed_at = now();
   group.ttl_strikes = 0;
@@ -439,6 +440,7 @@ void ReplicationManager::HandleDelta(const sim::Message& msg,
         for (size_t i = 0; i < delta.upserts.size(); ++i) {
           group.Upsert(delta.upserts[i], delta.upsert_epochs[i]);
         }
+        ++replica_upserts_;
         for (Key k : delta.deletes) group.Erase(k);
         group.version = delta.manifest.version;
         group.owner_val = delta.owner_val;
@@ -664,6 +666,18 @@ std::vector<datastore::Item> ReplicationManager::CollectReplicasIn(
     });
   }
   return out;
+}
+
+bool ReplicationManager::AnyReplicaIn(
+    const RingRange& arc, const std::function<bool(Key)>& pred) const {
+  for (const auto& kv : groups_) {
+    for (const auto& [first, last] : RunsInRange(kv.second.items(), arc)) {
+      for (auto it = first; it != last; ++it) {
+        if (pred(it->first)) return true;
+      }
+    }
+  }
+  return false;
 }
 
 std::vector<std::pair<sim::NodeId, Key>> ReplicationManager::GroupOwnersIn(

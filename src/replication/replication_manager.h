@@ -235,6 +235,9 @@ class ReplicationManager : public sim::ProtocolComponent,
   void ReplicateExtraHop(std::function<void(const Status&)> done) override;
   std::vector<datastore::Item> CollectReplicasIn(
       const RingRange& arc) override;
+  bool AnyReplicaIn(const RingRange& arc,
+                    const std::function<bool(Key)>& pred) const override;
+  uint64_t replica_upserts() const override { return replica_upserts_; }
   std::vector<std::pair<sim::NodeId, Key>> GroupOwnersIn(
       const RingRange& arc) override;
   void StartReviveSweep(const RingRange& range,
@@ -346,6 +349,8 @@ class ReplicationManager : public sim::ProtocolComponent,
   size_t outstanding_pushes_ = 0;
   bool push_scheduled_ = false;
   bool sweeping_ = false;
+  // Upsert batches applied to groups_ (snapshots and deltas).
+  uint64_t replica_upserts_ = 0;
 
   // Interned handles for the push hot path (valid iff metrics set).
   Counters::Id m_push_msgs_ = 0;

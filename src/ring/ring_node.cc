@@ -43,10 +43,10 @@ void RingNode::StartTimers() {
   const sim::SimTime stab_phase = RandomPhase(options_.stabilization_period);
   const sim::SimTime ping_phase = RandomPhase(options_.ping_period);
   stab_timer_ = Every(
-      options_.stabilization_period, [this]() { RunStabilization(); },
-      stab_phase);
-  ping_timer_ = Every(options_.ping_period, [this]() { RunPing(); },
-                      ping_phase);
+      "ring.stab", options_.stabilization_period,
+      [this]() { RunStabilization(); }, stab_phase);
+  ping_timer_ = Every("ring.ping", options_.ping_period,
+                      [this]() { RunPing(); }, ping_phase);
 }
 
 void RingNode::BecomeJoined() {

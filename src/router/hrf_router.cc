@@ -70,7 +70,8 @@ HrfRouter::HrfRouter(ring::RingNode* ring, datastore::DataStoreNode* ds,
   // Cadence changes re-arm with fixed delays (SetPeriod), so adaptive
   // behavior never shifts the simulator's random stream — same-seed replay
   // holds.
-  refresh_timer_ = Every(hrf_options_.refresh_period, [this]() { Tick(); },
+  refresh_timer_ = Every("router.refresh", hrf_options_.refresh_period,
+                         [this]() { Tick(); },
                          RandomPhase(hrf_options_.refresh_period));
 }
 
@@ -368,7 +369,8 @@ void HrfRouter::SetPeriod(sim::SimTime period) {
   // RandomPhase draw: cadence changes must not consume simulator
   // randomness, or adaptive runs would diverge from the same-seed replay
   // contract.
-  refresh_timer_ = Every(period, [this]() { Tick(); }, period);
+  refresh_timer_ =
+      Every("router.refresh", period, [this]() { Tick(); }, period);
 }
 
 void HrfRouter::OnRingEvent() {

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <iomanip>
+#include <map>
 #include <set>
 #include <sstream>
+#include <string>
 #include <utility>
 
 namespace pepper::scenario {
@@ -106,6 +108,10 @@ RunReport ScenarioRunner::Run(const Scenario& scenario) {
 
     const uint64_t msgs_before = cluster.sim().network().messages_sent();
     const uint64_t events_before = cluster.sim().events_executed();
+    std::map<std::string, uint64_t> fires_before;
+    for (const auto& [name, v] : cluster.sim().counters().Snapshot()) {
+      fires_before[name] = v;
+    }
     const auto wall_start = std::chrono::steady_clock::now();
     registry.BeginPhase(label.str());
     cluster.pool().set_suspended(phase.suspend_free_peers);
@@ -140,6 +146,12 @@ RunReport ScenarioRunner::Run(const Scenario& scenario) {
     const uint64_t phase_events =
         cluster.sim().events_executed() - events_before;
     cluster.metrics().counters().Inc("sim.events", phase_events);
+    // The simulator's own counters — the executed periodic-timer fires by
+    // label, `sim.fires.<label>` — are deterministic too: the first
+    // per-layer slice of `sim.events`.
+    for (const auto& [name, v] : cluster.sim().counters().Snapshot()) {
+      cluster.metrics().counters().Inc(name, v - fires_before[name]);
+    }
     const double wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)

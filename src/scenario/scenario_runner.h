@@ -45,7 +45,8 @@ struct RunnerOptions {
   // the text and CSV dumps).  OFF by default: wall-clock is
   // non-deterministic, and with timing off the CSV dump stays bit-identical
   // across same-seed runs — the replay contract the determinism tests pin.
-  // The deterministic `sim.events` counter is folded in unconditionally.
+  // The deterministic `sim.events` counter and the per-label timer fires
+  // (`sim.fires.<label>`) are folded in unconditionally.
   bool timing = false;
 
   // Per-phase latency SLO probes, read from the phase's own wl.insert_time /

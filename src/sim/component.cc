@@ -15,9 +15,11 @@ ProtocolComponent::~ProtocolComponent() {
   }
 }
 
-uint64_t ProtocolComponent::Every(SimTime period, std::function<void()> fn,
+uint64_t ProtocolComponent::Every(const char* label, SimTime period,
+                                  std::function<void()> fn,
                                   SimTime initial_delay) {
-  const uint64_t timer_id = node_->Every(period, std::move(fn), initial_delay);
+  const uint64_t timer_id =
+      node_->Every(label, period, std::move(fn), initial_delay);
   timers_.push_back(timer_id);
   return timer_id;
 }

@@ -75,8 +75,8 @@ class ProtocolComponent {
   }
 
   // Alive-guarded periodic timer, owned by this component (auto-cancelled on
-  // component destruction).
-  uint64_t Every(SimTime period, std::function<void()> fn,
+  // component destruction); `label` as in Node::Every.
+  uint64_t Every(const char* label, SimTime period, std::function<void()> fn,
                  SimTime initial_delay);
   void CancelTimer(uint64_t timer_id);
 

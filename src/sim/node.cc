@@ -136,8 +136,8 @@ void Node::After(SimTime delay, std::function<void()> fn) {
   sim_->AfterOnNode(id_, delay, std::move(fn));
 }
 
-uint64_t Node::Every(SimTime period, std::function<void()> fn,
-                     SimTime initial_delay) {
+uint64_t Node::Every(const char* label, SimTime period,
+                     std::function<void()> fn, SimTime initial_delay) {
   PEPPER_CHECK(period > 0);  // period 0 marks one-shot wheel records
   // A timer armed after failure would map a wheel record the already-ran
   // CancelAllTimers never sees; when it fizzles and its slot is recycled,
@@ -145,8 +145,9 @@ uint64_t Node::Every(SimTime period, std::function<void()> fn,
   // core's post-fail ticks merely fizzled — keep that harmlessness.
   if (!alive_) return next_timer_id_++;  // never fires, cancel is a no-op
   const uint64_t timer_id = next_timer_id_++;
-  const uint32_t idx =
-      sim_->ArmTimer(id_, sim_->now() + initial_delay, period, std::move(fn));
+  const uint32_t idx = sim_->ArmTimer(id_, sim_->now() + initial_delay,
+                                      period, std::move(fn),
+                                      sim_->FireCounter(label));
   active_timers_.emplace(timer_id, idx);
   return timer_id;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <typeinfo>
 
 #include "common/logging.h"
@@ -210,16 +211,25 @@ void Simulator::AfterOnNode(NodeId id, SimTime delay,
 }
 
 uint32_t Simulator::ArmTimer(NodeId id, SimTime expiry, SimTime period,
-                             std::function<void()> fn) {
+                             std::function<void()> fn, uint32_t fires) {
   ShardCore* sc = exec_shard_;
+  uint32_t idx;
   if (sc != nullptr) {
     PEPPER_CHECK(ShardOf(id) == sc->index);
-    return sc->wheel.Arm(id, expiry, period, std::move(fn), &sc->queue,
-                         SeqOf(sc->exec_node));
+    idx = sc->wheel.Arm(id, expiry, period, std::move(fn), &sc->queue,
+                        SeqOf(sc->exec_node));
+  } else {
+    sc = shards_[ShardOf(id)].get();
+    const SimTime at = std::max(expiry, now_ + lookahead_);
+    idx = sc->wheel.Arm(id, at, period, std::move(fn), &sc->queue, SeqOf(id));
   }
-  ShardCore& dst = *shards_[ShardOf(id)];
-  const SimTime at = std::max(expiry, now_ + lookahead_);
-  return dst.wheel.Arm(id, at, period, std::move(fn), &dst.queue, SeqOf(id));
+  sc->wheel.timer(idx).fires = fires;
+  return idx;
+}
+
+Counters::Id Simulator::FireCounter(const char* label) {
+  PEPPER_CHECK(label != nullptr && label[0] != '\0');
+  return counters_.Intern(std::string("sim.fires.") + label);
 }
 
 void Simulator::CancelWheelTimer(NodeId id, uint32_t idx) {
@@ -317,6 +327,10 @@ void Simulator::ExecuteShardTimerFire(ShardCore& sc, uint32_t idx) {
     }
     sc.exec_node = t.node;
     ++sc.events;
+    if (t.period != 0) {
+      ++sc.timer_fires;
+      if (t.fires != TimerWheel::kNil) counters_.Inc(t.fires);
+    }
     BeginEventContext(sc.now, t.node);
   }
   std::function<void()> fn = std::move(sc.wheel.timer(idx).fn);
@@ -470,6 +484,12 @@ bool Simulator::IsAlive(NodeId id) const {
 uint64_t Simulator::events_executed() const {
   uint64_t total = ctrl_events_;
   for (const auto& sc : shards_) total += sc->events;
+  return total;
+}
+
+uint64_t Simulator::timer_fires_executed() const {
+  uint64_t total = 0;
+  for (const auto& sc : shards_) total += sc->timer_fires;
   return total;
 }
 

@@ -228,6 +228,10 @@ class Simulator {
   // given seed and any shard count, and the numerator of the scenario
   // runner's events/sec.
   uint64_t events_executed() const;
+  // Periodic (Node::Every) timer fires executed, a subset of
+  // events_executed().  Split by timer label in counters() as
+  // `sim.fires.<label>`; like events, fizzled fires are not counted.
+  uint64_t timer_fires_executed() const;
   // Per-core introspection (bench/event_core tests).
   const EventQueue& shard_queue(uint32_t i) const { return shards_[i]->queue; }
   const TimerWheel& shard_wheel(uint32_t i) const { return shards_[i]->wheel; }
@@ -245,6 +249,7 @@ class Simulator {
     SimTime now = 0;
     SimTime next_event = 0;  // valid during AdvanceWindow only
     uint64_t events = 0;
+    uint64_t timer_fires = 0;  // periodic fires among `events`
     NodeId exec_node = kNullNode;  // node whose event is executing
   };
 
@@ -268,9 +273,13 @@ class Simulator {
   // Node::After without the old per-call wrapper closure: the alive guard
   // lives in the event record, not a capturing lambda.
   void AfterOnNode(NodeId id, SimTime delay, std::function<void()> fn);
-  // Timer plumbing for Node::Every / CancelTimer.
+  // Timer plumbing for Node::Every / CancelTimer.  `fires` is the
+  // FireCounter of a periodic timer's label (kNil for one-shots).
   uint32_t ArmTimer(NodeId id, SimTime expiry, SimTime period,
-                    std::function<void()> fn);
+                    std::function<void()> fn,
+                    uint32_t fires = TimerWheel::kNil);
+  // Interns `sim.fires.<label>` in counters().
+  Counters::Id FireCounter(const char* label);
   void CancelWheelTimer(NodeId id, uint32_t idx);
   // Message scheduling for Network::Send (by value, no closure).
   void ScheduleMessage(SimTime deliver_at, Message msg);

@@ -44,6 +44,7 @@ uint32_t TimerWheel::Arm(NodeId node, SimTime expiry, SimTime period,
   t.next = kNil;
   t.canceled = false;
   t.has_guard = has_guard;
+  t.fires = kNil;
   ++live_count_;
   if (expiry <= cursor_) {
     // Already due relative to the processing horizon (zero initial delay):

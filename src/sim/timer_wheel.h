@@ -11,12 +11,13 @@
 namespace pepper::sim {
 
 // Hierarchical timer wheel for the periodic protocol timers (Node::Every):
-// stabilize, ping, replication refresh, anti-entropy, router refresh,
-// index watchdog — thousands of live timers at paper scale, each firing
-// many times.  Arm, cancel and rearm are O(1) and allocation-free; the
-// per-timer closure is allocated once when the timer is created and reused
-// across every tick (the old path re-captured it into a fresh heap closure
-// per tick).
+// stabilize, ping, replication refresh, anti-entropy, router refresh and
+// data store maintenance — thousands of live timers at paper scale, each
+// firing many times — plus the index watchdog, which is armed only while
+// its peer has a query in flight.  Arm, cancel and rearm are O(1) and
+// allocation-free; the per-timer closure is allocated once when the timer
+// is created and reused across every tick (the old path re-captured it
+// into a fresh heap closure per tick).
 //
 // Levels are 64 slots wide; level L slots span 64^L microseconds, so six
 // levels cover ~19.4 simulated hours of delay.  Longer delays sit in a
@@ -55,6 +56,10 @@ class TimerWheel {
   // Simulator::After closures parked here to keep the heap shallow).
   struct Timer {
     NodeId node = kNullNode;
+    // Counters handle of the periodic timer's `sim.fires.<label>` count;
+    // kNil for one-shot records.  Set by the simulator after Arm.  (Placed
+    // beside `node` so it fills padding rather than growing the record.)
+    uint32_t fires = kNil;
     SimTime period = 0;
     SimTime expiry = 0;
     uint64_t seq = 0;          // EventQueue seq assigned at (re)arm

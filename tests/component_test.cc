@@ -42,7 +42,7 @@ class AttachedLayer : public ProtocolComponent {
     On<PongMsg>([this](const Message&, const PongMsg& p) {
       pongs.push_back(p.value);
     });
-    Every(100, [this]() { ++ticks; }, 100);
+    Every("test.tick", 100, [this]() { ++ticks; }, 100);
   }
 
   std::vector<int> pongs;

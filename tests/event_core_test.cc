@@ -134,7 +134,8 @@ TEST(TimerWheelTest, ExactPeriodsAcrossWheelLevels) {
   const SimTime t0 = OnNode(sim, node, [&] {
     for (auto& r : recs) {
       node.Every(
-          r.period, [&r, &sim] { r.fires.push_back(sim.now()); }, r.initial);
+          "test.tick", r.period,
+          [&r, &sim] { r.fires.push_back(sim.now()); }, r.initial);
     }
   });
   const SimTime horizon = 20 * 1000 * 1000;
@@ -165,7 +166,7 @@ TEST(TimerWheelTest, BeyondHorizonDelaysFireExactly) {
   const SimTime t0 = OnNode(sim, node, [&] {
     sim.After(horizon + 5, [&] { fired.push_back(sim.now()); });  // unguarded
     node.After(horizon + 7, [&] { fired.push_back(sim.now()); });  // guarded
-    node.Every(horizon + 11, [&] { ++ticks; }, horizon + 11);
+    node.Every("test.tick", horizon + 11, [&] { ++ticks; }, horizon + 11);
   });
   sim.RunFor(2 * horizon + 100);
   ASSERT_EQ(fired.size(), 2u);
@@ -180,7 +181,7 @@ TEST(TimerWheelTest, CancelFromInsideOwnTick) {
   int ticks = 0;
   uint64_t id = 0;
   id = node.Every(
-      100,
+      "test.tick", 100,
       [&] {
         if (++ticks == 3) node.CancelTimer(id);
       },
@@ -200,13 +201,13 @@ TEST(TimerWheelTest, CancelOtherTimerDueAtSameInstant) {
   uint64_t b_id = 0;
   OnNode(sim, node, [&] {
     node.Every(
-        100,
+        "test.tick", 100,
         [&] {
           ++a_ticks;
           node.CancelTimer(b_id);
         },
         100);
-    b_id = node.Every(100, [&] { ++b_ticks; }, 100);
+    b_id = node.Every("test.tick", 100, [&] { ++b_ticks; }, 100);
   });
   sim.RunFor(250);
   EXPECT_EQ(a_ticks, 2);
@@ -220,11 +221,15 @@ TEST(TimerWheelTest, CancelThenReArmIsAFreshTimer) {
   int second = 0;
   uint64_t id = 0;
   uint64_t id2 = 0;
-  OnNode(sim, node, [&] { id = node.Every(100, [&] { ++first; }, 100); });
+  OnNode(sim, node, [&] {
+    id = node.Every("test.tick", 100, [&] { ++first; }, 100);
+  });
   sim.RunFor(350);
   EXPECT_EQ(first, 3);
   node.CancelTimer(id);  // immediate, from the control context
-  OnNode(sim, node, [&] { id2 = node.Every(100, [&] { ++second; }, 100); });
+  OnNode(sim, node, [&] {
+    id2 = node.Every("test.tick", 100, [&] { ++second; }, 100);
+  });
   EXPECT_NE(id, id2);
   sim.RunFor(300);
   EXPECT_EQ(first, 3);  // canceled stays canceled
@@ -241,13 +246,13 @@ TEST(TimerWheelTest, TickSurvivesWheelPoolGrowth) {
   bool grown = false;
   OnNode(sim, node, [&] {
     node.Every(
-        100,
+        "test.tick", 100,
         [&] {
           ++ticks;
           if (!grown) {
             grown = true;
             for (int i = 0; i < 4096; ++i) {
-              node.Every(50000 + i, [] {}, 40000 + i);
+              node.Every("test.tick", 50000 + i, [] {}, 40000 + i);
             }
           }
         },
@@ -415,7 +420,7 @@ TEST(PayloadPoolTest, SimulatedTrafficReachesAllocationSteadyState) {
       if (blocks) blocks->insert(m.payload.get());
     });
     a.Every(
-        kMillisecond, [&] { a.Send(b.id(), MakePayload<P>()); },
+        "test.tick", kMillisecond, [&] { a.Send(b.id(), MakePayload<P>()); },
         kMillisecond);
     sim.RunFor(kSecond);
   };
@@ -441,7 +446,7 @@ TEST(SimulatorTest, EventsExecutedCounterIsDeterministic) {
     a.On<P>([&](const Message& m, const P&) {
       if (++bounces < 100) a.Send(m.from, std::make_shared<P>());
     });
-    a.Every(10 * kMillisecond, [] {}, kMillisecond);
+    a.Every("test.tick", 10 * kMillisecond, [] {}, kMillisecond);
     a.Send(b.id(), std::make_shared<P>());
     sim.RunFor(kSecond);
     return sim.events_executed();

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
 #include "history/oracle.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 
 namespace pepper::history {
@@ -131,6 +136,84 @@ TEST_F(OracleTest, AvailabilityAuditReportsLostItems) {
   EXPECT_FALSE(audit.ok);
   ASSERT_EQ(audit.lost.size(), 1u);
   EXPECT_EQ(audit.lost[0], 7u);
+}
+
+// The audit as a set-based reference: the result as a std::set, and every
+// key of the universe probed for condition 2 on its own.
+LivenessOracle::QueryAudit ReferenceAudit(const LivenessOracle& oracle,
+                                          const Span& predicate,
+                                          sim::SimTime start,
+                                          sim::SimTime end,
+                                          const std::vector<Key>& result,
+                                          Key universe_max) {
+  LivenessOracle::QueryAudit audit;
+  const std::set<Key> result_set(result.begin(), result.end());
+  for (Key k : result) {
+    if (!predicate.Contains(k) || !oracle.EverLiveIn(k, start, end)) {
+      audit.unexpected.push_back(k);
+    }
+  }
+  for (Key k = predicate.lo; k <= std::min(predicate.hi, universe_max); ++k) {
+    if (oracle.LiveThroughout(k, start, end) && result_set.count(k) == 0) {
+      audit.missing.push_back(k);
+    }
+  }
+  audit.correct = audit.missing.empty() && audit.unexpected.empty();
+  return audit;
+}
+
+TEST_F(OracleTest, MergeJoinAuditMatchesSetReference) {
+  constexpr Key kKeys = 40;
+  constexpr sim::NodeId kPeers = 5;
+  sim::Rng rng(17);
+  // A random liveness history: stores, drops and peer failures spread
+  // over time, some keys held by several peers at once.
+  for (int step = 0; step < 600; ++step) {
+    sim_.RunFor(rng.Uniform(1, 20));
+    const sim::NodeId peer = static_cast<sim::NodeId>(rng.Uniform(1, kPeers));
+    const Key k = rng.Uniform(0, kKeys - 1);
+    const uint64_t op = rng.Uniform(0, 9);
+    if (op < 5) {
+      oracle_.OnStore(peer, k);
+    } else if (op < 9) {
+      oracle_.OnDrop(peer, k);
+    } else {
+      oracle_.OnPeerFailed(peer);
+    }
+  }
+  const sim::SimTime horizon = sim_.now();
+  int incorrect = 0;
+  int with_missing = 0;
+  for (int q = 0; q < 2000; ++q) {
+    Key lo = rng.Uniform(0, kKeys + 5);
+    Key hi = rng.Uniform(0, kKeys + 5);
+    if (lo > hi) std::swap(lo, hi);
+    const Span predicate{lo, hi};
+    sim::SimTime start = rng.Uniform(0, horizon);
+    sim::SimTime end = rng.Uniform(0, horizon);
+    if (start > end) std::swap(start, end);
+    // Unsorted, with duplicates, keys outside the predicate and keys the
+    // oracle never tracked (>= kKeys).
+    std::vector<Key> result;
+    const uint64_t n = rng.Uniform(0, 30);
+    for (uint64_t i = 0; i < n; ++i) {
+      result.push_back(rng.Uniform(0, kKeys + 5));
+      if (rng.Uniform(0, 4) == 0) result.push_back(result.back());
+    }
+    const auto got = oracle_.CheckQuery(predicate, start, end, result);
+    const auto want =
+        ReferenceAudit(oracle_, predicate, start, end, result, kKeys + 5);
+    ASSERT_EQ(got.missing, want.missing) << "query " << q;
+    ASSERT_EQ(got.unexpected, want.unexpected) << "query " << q;
+    ASSERT_EQ(got.correct, want.correct) << "query " << q;
+    if (!got.correct) ++incorrect;
+    if (!got.missing.empty()) ++with_missing;
+  }
+  // Both verdicts occur, and condition 2 fires, so the comparison covered
+  // every branch.
+  EXPECT_GT(incorrect, 0);
+  EXPECT_LT(incorrect, 2000);
+  EXPECT_GT(with_missing, 0);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
 
 #include "cluster_test_util.h"
 #include "workload/cluster.h"
@@ -229,6 +231,152 @@ TEST(IndexTest, NaiveScanMissesResultsDuringReorganizations) {
   EXPECT_GT(naive_completed, 60);
   EXPECT_GT(naive_incorrect, 0)
       << "naive scans unexpectedly produced only correct results";
+}
+
+// --- The lazily armed query watchdog -----------------------------------------
+
+// A stalled-query fixture: a quiet populated cluster, a member whose range
+// does not wrap (the scan target) with its range lock held for write so
+// every scan of it blocks, and another member to start the query at.
+struct StalledQuery {
+  PeerStack* owner = nullptr;
+  PeerStack* via = nullptr;
+  Span span{0, 0};
+  sim::SimTime started = 0;
+  bool done = false;
+  Status status = Status::Internal("not finished");
+};
+
+void StartStalledQuery(Cluster& c, StalledQuery* q) {
+  for (PeerStack* p : c.LiveMembers()) {
+    const RingRange& r = p->ds->range();
+    if (q->owner == nullptr && r.lo() < r.hi() && !p->ds->rebalancing()) {
+      q->owner = p;
+    } else if (q->via == nullptr) {
+      q->via = p;
+    }
+  }
+  ASSERT_NE(q->owner, nullptr);
+  ASSERT_NE(q->via, nullptr);
+  q->span = Span{q->owner->ds->range().lo() + 1, q->owner->ds->range().hi()};
+  bool locked = false;
+  q->owner->ds->lock().AcquireWrite([&locked] { locked = true; });
+  ASSERT_TRUE(locked);
+  q->started = c.sim().now();
+  q->via->index->RangeQuery(
+      q->span, [q](const Status& s, std::vector<datastore::Item>) {
+        q->done = true;
+        q->status = s;
+      });
+}
+
+// The first point of `via`'s watchdog grid strictly more than `after` past
+// the query's start: where a tick first sees the query overdue.
+sim::SimTime FirstGridTickPast(const Cluster& c, const StalledQuery& q,
+                               sim::SimTime after) {
+  const sim::SimTime period = c.options().index.watchdog_period;
+  sim::SimTime t = q.via->index->watchdog_grid();
+  while (t <= q.started + after) t += period;
+  return t;
+}
+
+// Steps window by window until `counter` moves; returns the clock before
+// and after the window that moved it.
+std::pair<sim::SimTime, sim::SimTime> StepUntilCounterMoves(
+    Cluster& c, const std::string& counter, sim::SimTime give_up) {
+  const uint64_t start = c.metrics().counters().Get(counter);
+  sim::SimTime before = c.sim().now();
+  while (c.metrics().counters().Get(counter) == start &&
+         c.sim().now() < give_up) {
+    before = c.sim().now();
+    if (!c.sim().Step()) break;
+  }
+  return {before, c.sim().now()};
+}
+
+TEST(IndexWatchdogTest, ArmedOnlyWhileAQueryIsInFlight) {
+  Cluster c(TestOptions(51));
+  Populate(c, 60, 5);
+  for (PeerStack* p : c.LiveMembers()) {
+    EXPECT_FALSE(p->index->watchdog_armed()) << "idle peer " << p->id();
+  }
+  PeerStack* via = c.LiveMembers().front();
+  bool done = false;
+  via->index->RangeQuery(Span{0, kKeySpan},
+                         [&done](const Status& s,
+                                 std::vector<datastore::Item>) {
+                           EXPECT_TRUE(s.ok()) << s.ToString();
+                           done = true;
+                         });
+  EXPECT_TRUE(via->index->watchdog_armed());
+  while (!done && c.sim().Step()) {
+    EXPECT_TRUE(via->index->watchdog_armed() || done);
+  }
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(via->index->watchdog_armed());
+  EXPECT_EQ(via->index->active_queries(), 0u);
+}
+
+TEST(IndexWatchdogTest, StalledQueryResumesOnTheConstructionGrid) {
+  Cluster c(TestOptions(52));
+  Populate(c, 60, 6);
+  StalledQuery q;
+  StartStalledQuery(c, &q);
+  ASSERT_FALSE(HasFailure());
+  const index::IndexOptions& io = c.options().index;
+  const sim::SimTime expect = FirstGridTickPast(c, q, io.progress_timeout);
+  const auto [before, after] = StepUntilCounterMoves(
+      c, "index.query_resumes", q.started + 10 * sim::kSecond);
+  // The resume ran in the window holding the grid tick `expect`: the
+  // clock was short of it before that window and reached it after.
+  EXPECT_LT(before, expect);
+  EXPECT_GE(after, expect);
+  EXPECT_LT(after, expect + c.sim().lookahead());
+  EXPECT_EQ((expect - q.via->index->watchdog_grid()) % io.watchdog_period,
+            0u);
+  EXPECT_FALSE(q.done);
+  EXPECT_TRUE(q.via->index->watchdog_armed());
+
+  // Once the owner lets go, the resumed scan completes the query.
+  q.owner->ds->lock().ReleaseWrite();
+  while (!q.done && c.sim().Step()) {
+  }
+  ASSERT_TRUE(q.done);
+  EXPECT_TRUE(q.status.ok()) << q.status.ToString();
+  EXPECT_FALSE(q.via->index->watchdog_armed());
+}
+
+TEST(IndexWatchdogTest, QueryPastItsDeadlineStillTimesOut) {
+  ClusterOptions o = TestOptions(53);
+  o.index.query_timeout = 1500 * sim::kMillisecond;  // < ds lock_timeout
+  Cluster c(o);
+  Populate(c, 60, 7);
+  StalledQuery q;
+  StartStalledQuery(c, &q);
+  ASSERT_FALSE(HasFailure());
+  const sim::SimTime expect =
+      FirstGridTickPast(c, q, o.index.query_timeout);
+  const auto [before, after] = StepUntilCounterMoves(
+      c, "index.queries_failed", q.started + 10 * sim::kSecond);
+  ASSERT_TRUE(q.done);
+  EXPECT_TRUE(q.status.IsTimedOut()) << q.status.ToString();
+  EXPECT_LT(before, expect);
+  EXPECT_GE(after, expect);
+  EXPECT_LT(after, expect + c.sim().lookahead());
+  EXPECT_FALSE(q.via->index->watchdog_armed());
+  q.owner->ds->lock().ReleaseWrite();
+}
+
+TEST(IndexWatchdogTest, IdleClusterExecutesNoWatchdogFires) {
+  Cluster c(TestOptions(54));
+  Populate(c, 60, 8);  // inserts, splits and replication; no queries
+  const Counters& fires = c.sim().counters();
+  EXPECT_EQ(fires.Get("sim.fires.index.watchdog"), 0u);
+  EXPECT_GT(fires.Get("sim.fires.ds.maintenance"), 0u);
+  ASSERT_TRUE(c.RangeQuery(Span{0, kKeySpan}).status.ok());
+  const uint64_t after_query = fires.Get("sim.fires.index.watchdog");
+  c.RunFor(10 * sim::kSecond);
+  EXPECT_EQ(fires.Get("sim.fires.index.watchdog"), after_query);
 }
 
 }  // namespace

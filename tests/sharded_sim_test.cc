@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -106,7 +107,7 @@ TEST(ShardedSimTest, PartitionCoresRunOnTheCallingThread) {
       check();
       n->Send(peer->id(), std::make_shared<SeqMsg>());
     });
-    n->Every(5 * kMillisecond, check, kMillisecond);
+    n->Every("test.tick", 5 * kMillisecond, check, kMillisecond);
   }
   sim.RunFor(50 * kMillisecond);
   EXPECT_GT(events, 8 * 3);
@@ -255,6 +256,8 @@ struct ReplayResult {
   uint64_t events = 0;
   size_t live = 0;
   std::string trace;  // tracer DumpText, only with trace=true
+  std::map<std::string, uint64_t> fires;  // sim.fires.<label> counts
+  uint64_t timer_fires = 0;
 };
 
 ReplayResult RunClusterReplay(uint64_t seed, uint32_t shards,
@@ -292,6 +295,10 @@ ReplayResult RunClusterReplay(uint64_t seed, uint32_t shards,
   r.messages = cluster.sim().network().messages_sent();
   r.events = cluster.sim().events_executed();
   r.live = cluster.LiveMembers().size();
+  for (const auto& [name, v] : cluster.sim().counters().Snapshot()) {
+    if (name.rfind("sim.fires.", 0) == 0) r.fires[name] = v;
+  }
+  r.timer_fires = cluster.sim().timer_fires_executed();
   if (trace) {
     EXPECT_EQ(cluster.sim().tracer().records_dropped(), 0u)
         << "ring too small for the identity comparison";
@@ -315,6 +322,27 @@ TEST(ShardedSimTest, ClusterReplayIsIdenticalAcrossShardCounts) {
       EXPECT_EQ(other.live, one.live) << "seed " << seed;
     }
   }
+}
+
+// Every periodic timer carries a label, so the per-label fire counts add
+// up to the executed timer-fire total exactly; and like every other count
+// they do not depend on the partition.
+TEST(ShardedSimTest, TimerFireLabelsSumToTheTotalAtAnyShardCount) {
+  const ReplayResult one = RunClusterReplay(42, 1);
+  const ReplayResult four = RunClusterReplay(42, 4);
+  uint64_t sum = 0;
+  for (const auto& [name, v] : one.fires) sum += v;
+  EXPECT_EQ(sum, one.timer_fires);
+  EXPECT_GT(one.timer_fires, 0u);
+  EXPECT_LT(one.timer_fires, one.events);
+  for (const char* label :
+       {"ring.stab", "ring.ping", "repl.refresh", "repl.anti_entropy",
+        "router.refresh", "ds.maintenance", "index.watchdog"}) {
+    EXPECT_GT(one.fires.count(std::string("sim.fires.") + label), 0u)
+        << label;
+  }
+  EXPECT_EQ(four.fires, one.fires);
+  EXPECT_EQ(four.timer_fires, one.timer_fires);
 }
 
 // There is one engine: `shards` 0 (the ClusterOptions default) and 1 both

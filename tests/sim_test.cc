@@ -139,7 +139,8 @@ TEST(NodeTest, PeriodicTimerFiresAndCancels) {
   // Armed from the control context: the first tick lands one lookahead out
   // (the node's core may already have run up to the window edge), every
   // later tick one period after the previous.
-  uint64_t timer = a.Every(100, [&] { fires.push_back(sim.now()); }, 100);
+  uint64_t timer =
+      a.Every("test.tick", 100, [&] { fires.push_back(sim.now()); }, 100);
   sim.RunFor(1000);
   const SimTime first = sim.lookahead();
   ASSERT_EQ(fires.size(), (1000 - first) / 100 + 1);
@@ -156,7 +157,8 @@ TEST(NodeTest, TimersStopOnFailure) {
   Simulator sim(3);
   EchoNode a(&sim);
   int ticks = 0;
-  a.Every(100, [&] { ++ticks; }, 100);  // first tick one lookahead out
+  // First tick one lookahead out.
+  a.Every("test.tick", 100, [&] { ++ticks; }, 100);
   sim.RunFor(sim.lookahead() + 250);
   EXPECT_EQ(ticks, 3);
   a.Fail();

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that two pepper_bench builds replay the same schedule.
 
-Usage: replay_diff.py PARENT_BIN CHANGE_BIN [--seeds 100 101 200]
+Usage: replay_diff.py PARENT_BIN CHANGE_BIN [--seeds 100 101 200] [--summary]
 
 Runs every workload BENCHMARK.json declares at each sub-run seed with
 both binaries, drops the host-time block ("host") from each run's JSON
@@ -10,6 +10,10 @@ metrics, per-layer counts and latency lists.  Prints one line per
 (workload, seed) and exits 1 if any pair differs, so a change that must
 not move the simulated schedule can be checked against its parent build
 in one command.
+
+--summary also prints, under each differing pair, every differing
+numeric field as parent -> change with its relative delta, so the size
+of a deliberate rebaseline shows in the same command.
 """
 
 import argparse
@@ -36,12 +40,12 @@ def run(binary, workload, seed):
     return result
 
 
-def differences(a, b, prefix=""):
-    """Dotted paths at which two decoded JSON values differ."""
+def differences(a, b, prefix=()):
+    """Key paths (tuples) at which two decoded JSON values differ."""
     if isinstance(a, dict) and isinstance(b, dict):
         out = []
         for key in sorted(set(a) | set(b)):
-            path = prefix + "." + key if prefix else key
+            path = prefix + (key,)
             if key not in a or key not in b:
                 out.append(path)
             else:
@@ -50,11 +54,37 @@ def differences(a, b, prefix=""):
     return [] if a == b else [prefix]
 
 
+def lookup(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+def summary_lines(a, b, paths):
+    """`path: parent -> change (delta%)` for each differing scalar path."""
+    out = []
+    for path in paths:
+        try:
+            x, y = lookup(a, path), lookup(b, path)
+        except KeyError:
+            out.append("    %s: only on one side" % ".".join(path))
+            continue
+        numeric = (int, float)
+        if (not isinstance(x, numeric) or not isinstance(y, numeric) or
+                isinstance(x, bool) or isinstance(y, bool)):
+            continue  # digests, flags and latency lists: named above only
+        delta = "%+.2f%%" % (100.0 * (y - x) / x) if x else "n/a"
+        out.append("    %s: %.6g -> %.6g (%s)" % (".".join(path), x, y, delta))
+    return out
+
+
 def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent_bin")
     p.add_argument("change_bin")
     p.add_argument("--seeds", type=int, nargs="+", default=[100, 101, 200])
+    p.add_argument("--summary", action="store_true",
+                   help="print parent -> change for each differing scalar")
     args = p.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
@@ -63,15 +93,19 @@ def main():
     failed = 0
     for workload in workloads:
         for seed in args.seeds:
-            diff = differences(run(args.parent_bin, workload, seed),
-                               run(args.change_bin, workload, seed))
+            parent = run(args.parent_bin, workload, seed)
+            change = run(args.change_bin, workload, seed)
+            diff = differences(parent, change)
             label = "%s seed %d" % (workload, seed)
             if diff:
                 failed += 1
-                shown = ", ".join(diff[:8])
+                shown = ", ".join(".".join(path) for path in diff[:8])
                 more = len(diff) - 8
                 print("%-28s DIFFERS at %s%s" % (
                     label, shown, " (+%d more)" % more if more > 0 else ""))
+                if args.summary:
+                    for line in summary_lines(parent, change, diff):
+                        print(line)
             else:
                 print("%-28s identical" % label)
             sys.stdout.flush()
