@@ -1,6 +1,5 @@
 #include "replication/replication_manager.h"
 
-#include <algorithm>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -175,15 +174,25 @@ void ReplicationManager::RefreshTick() {
   PushNow();
 }
 
+template <typename Visit>
+void ReplicationManager::ScanOwnItems(Visit&& visit) {
+  ReplicaManifest manifest{ds_->mutation_epoch(), 0, 0};
+  size_t snapshot_cost = kManifestWireBytes;
+  ds_->ForEachItem([&](const datastore::Item& item, uint64_t epoch) {
+    ++manifest.count;
+    manifest.hash += ManifestTerm(item.skv, epoch);
+    snapshot_cost += WireBytes(item);
+    visit(item, epoch);
+  });
+  own_manifest_ = manifest;
+  own_content_version_ = ds_->content_version();
+  own_snapshot_cost_ = snapshot_cost;
+}
+
 const ReplicaManifest& ReplicationManager::OwnManifest() {
-  if (!own_manifest_valid_ ||
-      own_manifest_.version != ds_->mutation_epoch()) {
-    own_manifest_ = ReplicaManifest{ds_->mutation_epoch(), 0, 0};
-    ds_->ForEachItem([this](const datastore::Item& item, uint64_t epoch) {
-      ++own_manifest_.count;
-      own_manifest_.hash += ManifestTerm(item.skv, epoch);
-    });
-    own_manifest_valid_ = true;
+  if (own_manifest_.version != ds_->mutation_epoch() ||
+      own_content_version_ != ds_->content_version()) {
+    ScanOwnItems([](const datastore::Item&, uint64_t) {});
   }
   return own_manifest_;
 }
@@ -196,11 +205,11 @@ std::shared_ptr<ReplicaPushMsg> ReplicationManager::MakeSnapshot(
   const size_t n = ds_->ItemCount();
   push->items.reserve(n);
   push->epochs.reserve(n);
-  ds_->ForEachItem([&push](const datastore::Item& item, uint64_t epoch) {
+  ScanOwnItems([&push](const datastore::Item& item, uint64_t epoch) {
     push->items.push_back(item);
     push->epochs.push_back(epoch);
   });
-  push->manifest = OwnManifest();
+  push->manifest = own_manifest_;
   push->hops_left = hops_left;
   push->direct = direct;
   return push;
@@ -213,15 +222,16 @@ std::shared_ptr<ReplicaPushMsg> ReplicationManager::MakeSnapshot(
 //   repl.push_msgs == repl.push_acked + repl.push_attempt_timeouts
 // with outstanding_pushes() == 0.
 
-void ReplicationManager::SendPushHop(sim::NodeId to, sim::PayloadPtr payload,
-                                     std::function<void(bool)> on_settled) {
+void ReplicationManager::SendPushHop(
+    sim::NodeId to, sim::PayloadPtr payload,
+    std::function<void(HopResult)> on_settled) {
   PushAttempt(to, std::move(payload), options_.push_retries,
               std::move(on_settled));
 }
 
-void ReplicationManager::PushAttempt(sim::NodeId to, sim::PayloadPtr payload,
-                                     int retries_left,
-                                     std::function<void(bool)> on_settled) {
+void ReplicationManager::PushAttempt(
+    sim::NodeId to, sim::PayloadPtr payload, int retries_left,
+    std::function<void(HopResult)> on_settled) {
   ++outstanding_pushes_;
   Inc(m_push_msgs_);
   Call(
@@ -232,7 +242,10 @@ void ReplicationManager::PushAttempt(sim::NodeId to, sim::PayloadPtr payload,
         // Delivered; `applied` distinguishes a hop that also absorbed the
         // content from one that needs a snapshot first (durable acks care).
         const auto& ack = static_cast<const ReplicaPushAck&>(*m.payload);
-        if (on_settled) on_settled(ack.applied);
+        if (on_settled) {
+          on_settled(ack.applied ? HopResult::kApplied
+                                 : HopResult::kNotApplied);
+        }
       },
       options_.rpc_timeout,
       [this, to, payload, retries_left, on_settled]() {
@@ -243,7 +256,7 @@ void ReplicationManager::PushAttempt(sim::NodeId to, sim::PayloadPtr payload,
           return;
         }
         Inc(m_push_timeouts_);
-        if (on_settled) on_settled(false);
+        if (on_settled) on_settled(HopResult::kLost);
       });
 }
 
@@ -260,72 +273,86 @@ void ReplicationManager::PushNow(std::function<void(bool)> settled) {
     if (settled) settled(true);  // lone peer: as durable as it can get
     return;
   }
-  const uint64_t version = ds_->mutation_epoch();
-  const ReplicaManifest manifest = OwnManifest();
-  std::vector<std::pair<Key, uint64_t>> current;
-  current.reserve(ds_->ItemCount());
-  ds_->ForEachItem([&current](const datastore::Item& item, uint64_t epoch) {
-    current.emplace_back(item.skv, epoch);
-  });
   const int hops = static_cast<int>(options_.replication_factor) - 1;
+  const bool warm = options_.delta_pushes && chain_warm_;
+  // A quiet round: nothing was stored or dropped since the last push on
+  // this warm chain, so the delta is provably empty, and the manifest and
+  // snapshot cost that push left in the cache still hold.  The store is not
+  // walked.
+  const bool quiet = warm && ds_->mutation_epoch() == last_push_version_ &&
+                     ds_->content_version() == last_push_content_;
 
-  size_t snapshot_cost = kManifestWireBytes;
-  ds_->ForEachItem([&snapshot_cost](const datastore::Item& item, uint64_t) {
-    snapshot_cost += WireBytes(item);
-  });
-
-  bool sent_delta = false;
-  if (options_.delta_pushes && chain_warm_) {
-    auto delta = std::make_shared<ReplicaDeltaMsg>();
+  std::function<void(HopResult)> on_first_hop;
+  if (settled) {
+    on_first_hop = [settled = std::move(settled)](HopResult r) {
+      settled(r == HopResult::kApplied);
+    };
+  }
+  std::shared_ptr<ReplicaPushMsg> snapshot;
+  std::shared_ptr<ReplicaDeltaMsg> delta;
+  if (!warm) {
+    snapshot = MakeSnapshot(hops, /*direct=*/false);
+    last_push_epochs_.clear();
+    for (size_t i = 0; i < snapshot->items.size(); ++i) {
+      last_push_epochs_.emplace_back(snapshot->items[i].skv,
+                                     snapshot->epochs[i]);
+    }
+  } else {
+    delta = std::make_shared<ReplicaDeltaMsg>();
     delta->owner = id();
     delta->owner_val = ring_->val();
     delta->from_version = last_push_version_;
-    delta->manifest = manifest;
     delta->hops_left = hops;
-    // Merge-join of two key-ascending lists: keys new or re-stamped since
-    // the base are upserts (fetched in key order), keys only in the base
-    // are deletes.
-    auto base = last_push_epochs_.begin();
-    const auto base_end = last_push_epochs_.end();
-    for (const auto& kv : current) {
-      while (base != base_end && base->first < kv.first) {
-        delta->deletes.push_back((base++)->first);
-      }
-      if (base != base_end && base->first == kv.first) {
-        const bool unchanged = base->second == kv.second;
-        ++base;
-        if (unchanged) continue;
-      }
-      datastore::Item item;
-      if (ds_->FindItem(kv.first, &item)) {
-        delta->upserts.push_back(std::move(item));
-        delta->upsert_epochs.push_back(kv.second);
-      }
+    if (!quiet) {
+      // One walk, merge-joined against the key-ascending base: keys new or
+      // re-stamped since the base are upserts, keys only in the base are
+      // deletes.
+      std::vector<std::pair<Key, uint64_t>> current;
+      current.reserve(ds_->ItemCount());
+      auto base = last_push_epochs_.cbegin();
+      const auto base_end = last_push_epochs_.cend();
+      ScanOwnItems([&](const datastore::Item& item, uint64_t epoch) {
+        current.emplace_back(item.skv, epoch);
+        while (base != base_end && base->first < item.skv) {
+          delta->deletes.push_back((base++)->first);
+        }
+        if (base != base_end && base->first == item.skv) {
+          const bool unchanged = base->second == epoch;
+          ++base;
+          if (unchanged) return;
+        }
+        delta->upserts.push_back(item);
+        delta->upsert_epochs.push_back(epoch);
+      });
+      for (; base != base_end; ++base) delta->deletes.push_back(base->first);
+      last_push_epochs_ = std::move(current);
     }
-    for (; base != base_end; ++base) delta->deletes.push_back(base->first);
+    delta->manifest = own_manifest_;
+  }
+  const size_t snapshot_cost = own_snapshot_cost_;
+  if (delta != nullptr) {
     size_t delta_cost =
         kManifestWireBytes + delta->deletes.size() * kDeleteWireBytes;
     for (const auto& it : delta->upserts) delta_cost += WireBytes(it);
     if (delta_cost < snapshot_cost) {
-      SendPushHop(succ->id, delta, std::move(settled));
-      settled = nullptr;
+      SendPushHop(succ->id, delta, std::move(on_first_hop));
       Inc(m_delta_pushes_);
       Inc(m_push_bytes_, delta_cost);
       Inc(m_bytes_saved_, snapshot_cost - delta_cost);
-      sent_delta = true;
+    } else {
+      // A delta as large as the snapshot (a total rewrite, or an empty
+      // store) goes as the snapshot: same bytes, unconditional apply.
+      snapshot = MakeSnapshot(hops, /*direct=*/false);
     }
-    // A delta as large as the snapshot (total rewrite) falls through to the
-    // snapshot push below — same bytes, unconditional apply.
   }
-  if (!sent_delta) {
-    SendPushHop(succ->id, MakeSnapshot(hops, /*direct=*/false),
-                std::move(settled));
+  if (snapshot != nullptr) {
+    SendPushHop(succ->id, snapshot, std::move(on_first_hop));
     Inc(m_snapshot_pushes_);
     Inc(m_push_bytes_, snapshot_cost);
   }
   Inc(m_pushes_);
-  last_push_epochs_ = std::move(current);
-  last_push_version_ = version;
+  last_push_version_ = ds_->mutation_epoch();
+  last_push_content_ = ds_->content_version();
   chain_warm_ = true;
 }
 
@@ -362,6 +389,44 @@ void ReplicationManager::OnSuccessorFailed(sim::NodeId succ) {
 
 // --- Holder side: applying pushes -------------------------------------------
 
+void ReplicationManager::SendStatus(sim::NodeId owner,
+                                    std::vector<sim::NodeId> holders,
+                                    bool need_full, bool from_chain) {
+  if (owner == id() || holders.empty()) return;
+  auto status = std::make_shared<ReplicaStatusMsg>();
+  status->holders = std::move(holders);
+  status->need_full = need_full;
+  status->from_chain = from_chain;
+  Send(owner, status);
+}
+
+template <typename ChainMsg>
+void ReplicationManager::ContinueChain(const ChainMsg& msg, bool clean) {
+  const bool credit_self = clean && msg.owner != id();
+  std::optional<ring::SuccEntry> succ;
+  if (msg.hops_left > 0) succ = ring_->GetSuccRelaxed();
+  if (!succ.has_value() || succ->id == id() || succ->id == msg.owner) {
+    // The chain ends here (no hops left, or it wrapped around a small
+    // ring): report every clean holder along it in one status.
+    std::vector<sim::NodeId> credited = msg.clean_holders;
+    if (credit_self) credited.push_back(id());
+    SendStatus(msg.owner, std::move(credited), /*need_full=*/false,
+               /*from_chain=*/true);
+    return;
+  }
+  auto fwd = std::make_shared<ChainMsg>(msg);
+  fwd->hops_left = msg.hops_left - 1;
+  if (credit_self) fwd->clean_holders.push_back(id());
+  SendPushHop(succ->id, fwd, [this, fwd](HopResult r) {
+    // The next holder never took the chain over: the chain ends here,
+    // without it.
+    if (r == HopResult::kLost) {
+      SendStatus(fwd->owner, fwd->clean_holders, /*need_full=*/false,
+                 /*from_chain=*/true);
+    }
+  });
+}
+
 void ReplicationManager::ApplySnapshot(const ReplicaPushMsg& push) {
   ReplicaGroup& group = groups_[push.owner];
   if (group.version > push.manifest.version) {
@@ -387,18 +452,17 @@ void ReplicationManager::HandlePush(const sim::Message& msg,
   if (msg.rpc_id != 0) {
     Reply(msg, sim::MakePayload<ReplicaPushAck>());
   }
-  if (push.owner != id()) {
-    auto it = groups_.find(push.owner);
-    SendStatus(push.owner, it != groups_.end() ? it->second.version : 0,
-               /*need_full=*/false, /*from_chain=*/!push.direct);
+  // Applied, or stale behind a fresher copy: clean either way.
+  if (push.direct) {
+    SendStatus(push.owner, {id()}, /*need_full=*/false, /*from_chain=*/false);
+  } else {
+    ContinueChain(push, /*clean=*/true);
   }
-  if (!push.direct) ForwardPush(push);
 }
 
 void ReplicationManager::HandleDelta(const sim::Message& msg,
                                      const ReplicaDeltaMsg& delta) {
   bool need_full = false;
-  uint64_t version = 0;
   auto it = groups_.find(delta.owner);
   if (it == groups_.end()) {
     // Never seen this owner (new holder, or the group aged out): only a
@@ -413,13 +477,11 @@ void ReplicationManager::HandleDelta(const sim::Message& msg,
       group.owner_val = delta.owner_val;
       group.refreshed_at = now();
       group.ttl_strikes = 0;
-      version = group.version;
     } else if (group.version > delta.manifest.version) {
       // Stale delta (channels are FIFO only per sender pair: a forwarded
       // chain delta can trail a direct repair snapshot).  Our copy is
       // fresher — same never-regress rule as ApplySnapshot, and no
       // need_full: a repair would just re-send what we already hold.
-      version = group.version;
       Inc(m_stale_deltas_);
     } else if (group.version == delta.from_version) {
       // End-to-end check, before touching the copy: applying the exact
@@ -447,14 +509,12 @@ void ReplicationManager::HandleDelta(const sim::Message& msg,
         group.refreshed_at = now();
         group.ttl_strikes = 0;
         Inc(m_delta_applies_);
-        version = group.version;
       }
     } else {
       // Our copy is off the chain (missed a push, or was point-repaired at
       // an off-chain version).  Keep the stale group — it still serves
       // revival — and ask for a snapshot.
       need_full = true;
-      version = group.version;
       Inc(m_delta_misses_);
     }
   }
@@ -463,45 +523,11 @@ void ReplicationManager::HandleDelta(const sim::Message& msg,
     ack->applied = !need_full;
     Reply(msg, ack);
   }
-  if (delta.owner != id()) {
-    SendStatus(delta.owner, version, need_full, /*from_chain=*/true);
+  // A repair is asked for at once; a clean copy is reported by the rollup.
+  if (need_full) {
+    SendStatus(delta.owner, {id()}, /*need_full=*/true, /*from_chain=*/true);
   }
-  ForwardDelta(delta);
-}
-
-void ReplicationManager::SendStatus(sim::NodeId owner, uint64_t version,
-                                    bool need_full, bool from_chain) {
-  if (owner == id()) return;
-  auto status = std::make_shared<ReplicaStatusMsg>();
-  status->holder = id();
-  status->version = version;
-  status->need_full = need_full;
-  status->from_chain = from_chain;
-  Send(owner, status);
-}
-
-void ReplicationManager::ForwardPush(const ReplicaPushMsg& push) {
-  if (push.hops_left <= 0) return;
-  auto succ = ring_->GetSuccRelaxed();
-  if (!succ.has_value() || succ->id == id() ||
-      succ->id == push.owner) {
-    return;  // wrapped around a small ring
-  }
-  auto fwd = std::make_shared<ReplicaPushMsg>(push);
-  fwd->hops_left = push.hops_left - 1;
-  SendPushHop(succ->id, fwd);
-}
-
-void ReplicationManager::ForwardDelta(const ReplicaDeltaMsg& delta) {
-  if (delta.hops_left <= 0) return;
-  auto succ = ring_->GetSuccRelaxed();
-  if (!succ.has_value() || succ->id == id() ||
-      succ->id == delta.owner) {
-    return;
-  }
-  auto fwd = std::make_shared<ReplicaDeltaMsg>(delta);
-  fwd->hops_left = delta.hops_left - 1;
-  SendPushHop(succ->id, fwd);
+  ContinueChain(delta, /*clean=*/!need_full);
 }
 
 // --- Owner side: holder book, repair, anti-entropy --------------------------
@@ -509,25 +535,27 @@ void ReplicationManager::ForwardDelta(const ReplicaDeltaMsg& delta) {
 void ReplicationManager::HandleStatus(const sim::Message&,
                                       const ReplicaStatusMsg& status) {
   if (!ds_->active()) return;
-  auto booked = holders_.find(status.holder);
-  if (booked == holders_.end()) {
-    // New book entry: grant the chain-confirmation grace window from now.
-    booked = holders_.emplace(status.holder, HolderState{}).first;
-    booked->second.last_chain_ack = now();
+  for (const sim::NodeId h : status.holders) {
+    auto booked = holders_.find(h);
+    if (booked == holders_.end()) {
+      // New book entry: grant the chain-confirmation grace window from now.
+      booked = holders_.emplace(h, HolderState{}).first;
+      booked->second.last_chain_ack = now();
+    }
+    HolderState& holder = booked->second;
+    holder.last_ack = now();
+    if (status.from_chain) holder.last_chain_ack = now();
+    if (!status.need_full) {
+      holder.repair_in_flight = false;
+      continue;
+    }
+    if (holder.repair_in_flight) continue;
+    RepairHolder(h, m_snapshot_repairs_);
+    // A repaired holder sits at an off-chain version until the next
+    // snapshot round; re-sync the whole chain instead of re-repairing it
+    // every delta.
+    chain_warm_ = false;
   }
-  HolderState& holder = booked->second;
-  holder.last_ack = now();
-  if (status.from_chain) holder.last_chain_ack = now();
-  if (!status.need_full) {
-    holder.acked_version = std::max(holder.acked_version, status.version);
-    holder.repair_in_flight = false;
-    return;
-  }
-  if (holder.repair_in_flight) return;
-  RepairHolder(status.holder, m_snapshot_repairs_);
-  // A repaired holder sits at an off-chain version until the next snapshot
-  // round; re-sync the whole chain instead of re-repairing it every delta.
-  chain_warm_ = false;
 }
 
 void ReplicationManager::RepairHolder(sim::NodeId holder,
@@ -535,11 +563,11 @@ void ReplicationManager::RepairHolder(sim::NodeId holder,
   holders_[holder].repair_in_flight = true;
   Inc(counter);
   SendPushHop(holder, MakeSnapshot(0, /*direct=*/true),
-              [this, holder](bool acked) {
+              [this, holder](HopResult r) {
                 auto it = holders_.find(holder);
                 if (it == holders_.end()) return;
                 it->second.repair_in_flight = false;
-                if (!acked) holders_.erase(it);  // dead holder
+                if (r == HopResult::kLost) holders_.erase(it);  // dead holder
               });
 }
 
@@ -644,8 +672,8 @@ void ReplicationManager::ReplicateExtraHop(
   Inc(m_extra_hop_ops_);
   Inc(m_extra_hop_groups_, msgs.size());
   for (auto& m : msgs) {
-    SendPushHop(succ->id, m, [pending](bool acked) {
-      if (!acked) pending->failed = true;
+    SendPushHop(succ->id, m, [pending](HopResult r) {
+      if (r == HopResult::kLost) pending->failed = true;
       if (--pending->remaining == 0) {
         pending->done(pending->failed
                           ? Status::Unavailable("extra-hop push timed out")
@@ -772,12 +800,8 @@ void ReplicationManager::OnInfoFromPred(sim::NodeId /*pred*/,
   const auto* seed = dynamic_cast<const ReplicaPushMsg*>(info.get());
   if (seed == nullptr) return;
   ApplySnapshot(*seed);
-  if (seed->owner != id()) {
-    // The seed makes us the owner's first chain hop: a chain-confirmed ack.
-    auto it = groups_.find(seed->owner);
-    SendStatus(seed->owner, it != groups_.end() ? it->second.version : 0,
-               /*need_full=*/false, /*from_chain=*/true);
-  }
+  // The seed makes us the owner's first chain hop: a chain-confirmed status.
+  SendStatus(seed->owner, {id()}, /*need_full=*/false, /*from_chain=*/true);
 }
 
 }  // namespace pepper::replication

@@ -158,6 +158,10 @@ struct ReplicaPushMsg : sim::Payload {
   ReplicaManifest manifest;
   int hops_left = 0;
   bool direct = false;
+  // The status rollup: the upstream chain holders that hold the group
+  // cleanly (applied, already current, or fresher).  The chain's last
+  // holder reports them to the owner in one ReplicaStatusMsg.
+  std::vector<sim::NodeId> clean_holders;
 };
 
 // Delta push: the mutations between two owner epochs, plus the manifest of
@@ -174,6 +178,7 @@ struct ReplicaDeltaMsg : sim::Payload {
   std::vector<Key> deletes;
   ReplicaManifest manifest;
   int hops_left = 0;
+  std::vector<sim::NodeId> clean_holders;  // as in ReplicaPushMsg
 };
 
 // Hop-level delivery ack (the push-audit contract: every push hop is an RPC
@@ -185,16 +190,18 @@ struct ReplicaPushAck : sim::Payload {
   bool applied = true;
 };
 
-// Holder -> owner, one-way: the holder's group state after (not) applying a
-// push.  Feeds the owner's per-holder version book (delta bases, the
-// anti-entropy quiet-holder scan) and triggers direct snapshot repair.
-// `from_chain` marks acks triggered by the forwarded push chain (or the
-// first-contact seed) — evidence the holder still sits among the owner's k
-// successors; repair and probe acks do not carry it, so displaced holders
-// age out of the book instead of being repaired forever.
+// Holder -> owner, one-way: whether `holders` hold the owner's group
+// cleanly after a push (need_full = false) or need a snapshot.  Feeds the
+// owner's holder book (the anti-entropy quiet-holder scan, the repair
+// guard) and triggers direct snapshot repair.  A push chain reports all its
+// clean holders in one rollup from its last holder; a holder that needs a
+// repair reports itself at once, alone.  `from_chain` marks statuses
+// triggered by the forwarded push chain (or the first-contact seed) —
+// evidence the holders still sit among the owner's k successors; repair
+// acks do not carry it, so displaced holders age out of the book instead of
+// being repaired forever.
 struct ReplicaStatusMsg : sim::Payload {
-  sim::NodeId holder = sim::kNullNode;
-  uint64_t version = 0;
+  std::vector<sim::NodeId> holders;
   bool need_full = false;
   bool from_chain = false;
 };
@@ -287,18 +294,24 @@ class ReplicationManager : public sim::ProtocolComponent,
   // attempt-timeouts); 0 when every hop has been accounted for.
   size_t outstanding_pushes() const { return outstanding_pushes_; }
 
- private:
-  friend class ReviveProtocol;
-
+  // Owner-side book entry of one holder that reported a status.
   struct HolderState {
-    uint64_t acked_version = 0;
     sim::SimTime last_ack = 0;
-    // Last ack that came off the forwarded push chain; holders with no
+    // Last status that came off the forwarded push chain; holders with no
     // chain confirmation for a group_ttl are presumed displaced and leave
     // the book (their stale copy then ages out on their side too).
     sim::SimTime last_chain_ack = 0;
     bool repair_in_flight = false;
   };
+  const std::map<sim::NodeId, HolderState>& holders() const {
+    return holders_;
+  }
+
+ private:
+  friend class ReviveProtocol;
+
+  // How one audited push hop settled.
+  enum class HopResult { kApplied, kNotApplied, kLost };
 
   void HandlePush(const sim::Message& msg, const ReplicaPushMsg& push);
   void HandleDelta(const sim::Message& msg, const ReplicaDeltaMsg& delta);
@@ -307,20 +320,29 @@ class ReplicationManager : public sim::ProtocolComponent,
 
   // Stores a full snapshot, guarding against regressing a fresher copy.
   void ApplySnapshot(const ReplicaPushMsg& push);
-  void ForwardPush(const ReplicaPushMsg& push);
-  void ForwardDelta(const ReplicaDeltaMsg& delta);
-  void SendStatus(sim::NodeId owner, uint64_t version, bool need_full,
-                  bool from_chain);
+  // Passes a chain push or delta on to the successor, with this holder
+  // added to its clean list when `clean`; where the chain ends (no hops
+  // left, the ring wrapped, or the forward hop is finally lost) the clean
+  // list goes to the owner as one rollup status.
+  template <typename ChainMsg>
+  void ContinueChain(const ChainMsg& msg, bool clean);
+  void SendStatus(sim::NodeId owner, std::vector<sim::NodeId> holders,
+                  bool need_full, bool from_chain);
   // One audited push hop: RPC with `push_retries` resends, then a counted
-  // drop.  `on_settled(acked)` is optional.
+  // drop.  `on_settled` is optional.
   void SendPushHop(sim::NodeId to, sim::PayloadPtr payload,
-                   std::function<void(bool)> on_settled = nullptr);
+                   std::function<void(HopResult)> on_settled = nullptr);
   void PushAttempt(sim::NodeId to, sim::PayloadPtr payload, int retries_left,
-                   std::function<void(bool)> on_settled);
+                   std::function<void(HopResult)> on_settled);
   // Direct full snapshot to one holder (need_full repair / anti-entropy);
   // `counter` is the interned repair counter to charge.
   void RepairHolder(sim::NodeId holder, Counters::Id counter);
+  // Walks the own store once, handing `visit` each (item, epoch) in key
+  // order, and refreshes the cached own manifest and snapshot cost.
+  template <typename Visit>
+  void ScanOwnItems(Visit&& visit);
   std::shared_ptr<ReplicaPushMsg> MakeSnapshot(int hops_left, bool direct);
+  // The own store's manifest, rescanned only when the store changed.
   const ReplicaManifest& OwnManifest();
   void RefreshTick();
   void AntiEntropyTick();
@@ -336,16 +358,22 @@ class ReplicationManager : public sim::ProtocolComponent,
   ReplicationOptions options_;
   std::unique_ptr<ReviveProtocol> revive_;
   std::map<sim::NodeId, ReplicaGroup> groups_;
-  // Owner-side book of holders that acked a push, keyed by peer id: the
-  // delta base, the quiet-holder scan, and the repair-in-flight guard.
+  // Owner-side book of holders that reported a status, keyed by peer id:
+  // the quiet-holder scan and the repair-in-flight guard.
   std::map<sim::NodeId, HolderState> holders_;
   // (key, epoch) of every item as of the last push, ascending by key (the
   // delta base snapshot).
   std::vector<std::pair<Key, uint64_t>> last_push_epochs_;
+  // The store's mutation epoch and content version at the last push.
   uint64_t last_push_version_ = 0;
+  uint64_t last_push_content_ = 0;
   bool chain_warm_ = false;  // a push went out since the last chain reset
+  // The own store's manifest and full-snapshot wire cost as of the last
+  // scan, which saw content version `own_content_version_` (the manifest
+  // carries the mutation epoch).  The defaults describe the empty store.
   ReplicaManifest own_manifest_;
-  bool own_manifest_valid_ = false;
+  uint64_t own_content_version_ = 0;
+  size_t own_snapshot_cost_ = kManifestWireBytes;
   size_t outstanding_pushes_ = 0;
   bool push_scheduled_ = false;
   bool sweeping_ = false;

@@ -108,9 +108,9 @@ RunReport ScenarioRunner::Run(const Scenario& scenario) {
 
     const uint64_t msgs_before = cluster.sim().network().messages_sent();
     const uint64_t events_before = cluster.sim().events_executed();
-    std::map<std::string, uint64_t> fires_before;
+    std::map<std::string, uint64_t> sim_counters_before;
     for (const auto& [name, v] : cluster.sim().counters().Snapshot()) {
-      fires_before[name] = v;
+      sim_counters_before[name] = v;
     }
     const auto wall_start = std::chrono::steady_clock::now();
     registry.BeginPhase(label.str());
@@ -147,10 +147,11 @@ RunReport ScenarioRunner::Run(const Scenario& scenario) {
         cluster.sim().events_executed() - events_before;
     cluster.metrics().counters().Inc("sim.events", phase_events);
     // The simulator's own counters — the executed periodic-timer fires by
-    // label, `sim.fires.<label>` — are deterministic too: the first
-    // per-layer slice of `sim.events`.
+    // label, `sim.fires.<label>`, and the sent messages by payload type,
+    // `sim.msgs.<PayloadType>` — are deterministic too: the first
+    // per-layer slices of `sim.events` and `net.messages_sent`.
     for (const auto& [name, v] : cluster.sim().counters().Snapshot()) {
-      cluster.metrics().counters().Inc(name, v - fires_before[name]);
+      cluster.metrics().counters().Inc(name, v - sim_counters_before[name]);
     }
     const double wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -33,20 +35,52 @@ struct Payload {
 };
 
 namespace detail {
+// Registered payload type names, indexed by type id; id 0 is the null
+// payload.
+inline std::vector<std::string>& PayloadTypeNames() {
+  static std::vector<std::string> names{"none"};
+  return names;
+}
+
 // Ids are assigned on first use within a run: process-local and
 // deterministic for a fixed binary + execution path; they index dispatch
-// tables and are never serialized or compared across runs.  Id 0 is the
-// null payload.
-inline uint32_t AllocatePayloadTypeId() {
-  static uint32_t next = 1;
-  return next++;
+// tables and are never serialized or compared across runs.  The name is
+// what observability reports, so it is stable across runs and builds.
+inline uint32_t AllocatePayloadTypeId(std::string name) {
+  std::vector<std::string>& names = PayloadTypeNames();
+  names.push_back(std::move(name));
+  return static_cast<uint32_t>(names.size() - 1);
+}
+
+// The unqualified name of T ("ReplicaStatusMsg"), read from the compiler's
+// signature of this function ("... [with T = pepper::replication::
+// ReplicaStatusMsg; ...]"): readable where a typeid name is mangled.
+template <typename T>
+std::string UnqualifiedTypeName() {
+  const std::string_view sig = __PRETTY_FUNCTION__;
+  const size_t at = sig.find("T = ");
+  if (at == std::string_view::npos) return "unknown";
+  std::string_view name = sig.substr(at + 4);
+  name = name.substr(0, name.find_first_of(";]"));
+  // Drop the qualifier: everything up to the last "::" outside template
+  // arguments.
+  const size_t scope = name.substr(0, name.find('<')).rfind("::");
+  if (scope != std::string_view::npos) name.remove_prefix(scope + 2);
+  return std::string(name);
 }
 }  // namespace detail
 
 template <typename T>
 uint32_t PayloadTypeId() {
-  static const uint32_t id = detail::AllocatePayloadTypeId();
+  static const uint32_t id =
+      detail::AllocatePayloadTypeId(detail::UnqualifiedTypeName<T>());
   return id;
+}
+
+// The unqualified struct name registered for a payload type id ("none" for
+// a null payload).  A copy: registering a type may move the stored names.
+inline std::string PayloadTypeName(uint32_t type_id) {
+  return detail::PayloadTypeNames().at(type_id);
 }
 
 // Shared pointer to an immutable payload plus the dense id of its concrete

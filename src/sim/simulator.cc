@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
-#include <typeinfo>
 
 #include "common/logging.h"
 #include "sim/node.h"
@@ -27,10 +26,11 @@ void Network::Send(Message msg) {
   if (msg.to == kNullNode || msg.from == kNullNode) {
     std::fprintf(stderr, "null endpoint: from=%u to=%u payload=%s\n",
                  msg.from, msg.to,
-                 msg.payload ? typeid(*msg.payload).name() : "none");
+                 PayloadTypeName(msg.payload.type_id()).c_str());
   }
   PEPPER_CHECK(msg.from != kNullNode && msg.to != kNullNode);
   ++messages_sent_;
+  sim_->CountMessage(msg.payload.type_id());
   // Latency draws come from the sender's per-node stream, so a node's draw
   // order is a property of that node's execution history alone — invariant
   // under the shard partition.  Fixed-latency configs (min == max) draw
@@ -230,6 +230,17 @@ uint32_t Simulator::ArmTimer(NodeId id, SimTime expiry, SimTime period,
 Counters::Id Simulator::FireCounter(const char* label) {
   PEPPER_CHECK(label != nullptr && label[0] != '\0');
   return counters_.Intern(std::string("sim.fires.") + label);
+}
+
+void Simulator::CountMessage(uint32_t payload_type) {
+  if (payload_type >= msg_counters_.size()) {
+    msg_counters_.resize(payload_type + 1, kNoCounter);
+  }
+  Counters::Id& id = msg_counters_[payload_type];
+  if (id == kNoCounter) {
+    id = counters_.Intern("sim.msgs." + PayloadTypeName(payload_type));
+  }
+  counters_.Inc(id);
 }
 
 void Simulator::CancelWheelTimer(NodeId id, uint32_t idx) {

@@ -38,7 +38,8 @@ class Network {
   const NetworkOptions& options() const { return options_; }
   void set_options(NetworkOptions options) { options_ = options; }
   // Incremented on every Send — one-way messages, requests and replies all
-  // funnel through Network::Send.
+  // funnel through Network::Send.  Split by payload type in the
+  // simulator's counters() as `sim.msgs.<PayloadType>`.
   uint64_t messages_sent() const { return messages_sent_; }
   // Live per-channel FIFO entries (observability for pruning tests).
   size_t channel_count() const { return channel_count_; }
@@ -280,6 +281,8 @@ class Simulator {
                     uint32_t fires = TimerWheel::kNil);
   // Interns `sim.fires.<label>` in counters().
   Counters::Id FireCounter(const char* label);
+  // Counts one sent message as `sim.msgs.<PayloadType>` in counters().
+  void CountMessage(uint32_t payload_type);
   void CancelWheelTimer(NodeId id, uint32_t idx);
   // Message scheduling for Network::Send (by value, no closure).
   void ScheduleMessage(SimTime deliver_at, Message msg);
@@ -318,6 +321,10 @@ class Simulator {
   Rng rng_;          // control-context stream
   Network network_;
   Counters counters_;
+  // `sim.msgs.<PayloadType>` handle by payload type id, interned on the
+  // type's first send (kNoCounter until then).
+  static constexpr Counters::Id kNoCounter = ~Counters::Id{0};
+  std::vector<Counters::Id> msg_counters_;
   trace::Tracer tracer_;
   TelemetrySink* telemetry_sink_ = nullptr;
   std::vector<Node*> nodes_;  // index == NodeId; nullptr when destroyed

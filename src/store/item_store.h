@@ -42,6 +42,7 @@ struct StoreOptions {
 // context.
 struct StoreStats {
   uint64_t reads = 0;       // point lookups served (Get/Contains)
+  uint64_t cursors = 0;     // cursors opened (SeekFirst/SeekAfter): walks
   uint64_t hits = 0;        // buffer-pool hits (in-memory: every access)
   uint64_t faults = 0;      // page faults (page not resident)
   uint64_t evictions = 0;   // frames reclaimed for another page

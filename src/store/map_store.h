@@ -42,10 +42,12 @@ class MapStore : public ItemStore {
   void Clear() override { items_.clear(); }
 
   std::unique_ptr<Cursor> SeekFirst() override {
+    ++stats_.cursors;
     return std::make_unique<MapCursor>(&items_, items_.begin());
   }
 
   std::unique_ptr<Cursor> SeekAfter(Key skv) override {
+    ++stats_.cursors;
     return std::make_unique<MapCursor>(&items_, items_.upper_bound(skv));
   }
 

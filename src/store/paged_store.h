@@ -40,10 +40,12 @@ class PagedStore : public ItemStore {
   void Clear() override { tree_.Clear(); }
 
   std::unique_ptr<Cursor> SeekFirst() override {
+    ++stats_.cursors;
     return std::make_unique<PagedCursor>(&pool_, tree_.First());
   }
 
   std::unique_ptr<Cursor> SeekAfter(Key skv) override {
+    ++stats_.cursors;
     return std::make_unique<PagedCursor>(&pool_, tree_.After(skv));
   }
 

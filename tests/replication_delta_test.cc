@@ -6,12 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster_test_util.h"
+#include "datastore/ds_messages.h"
 #include "replication/replica_manifest.h"
 #include "replication/replication_manager.h"
 #include "sim/node.h"
@@ -360,6 +362,227 @@ TEST(ReplicationDeltaTest, DeltasCutPushBytesAgainstSnapshots) {
   EXPECT_GE(saved * 2, saved + sent)
       << "delta pushes saved " << saved << " of " << (saved + sent)
       << " snapshot-equivalent bytes";
+}
+
+// --- Quiet refreshes skip the store walk -------------------------------------
+//
+// A push whose store has not changed since the last push on a warm chain
+// sends the empty delta without walking the store (every walk opens a
+// store cursor).  Every push is checked against the diff this test
+// computes without any cache: the push kind, its wire bytes, and the
+// holders' copies once it has landed.
+
+// A settled ring of k = 2 with one pool peer per split and none left over,
+// whose replication moves only when the test pushes.  Storage factor 0
+// means no peer underflows, and with the pool drained none can split, so
+// the test may set the owner's store to anything.
+ClusterOptions HandPushedOptions(uint64_t seed) {
+  ClusterOptions o = TestOptions(seed, 2);
+  o.ds.storage_factor = 0;
+  o.repl.refresh_period = 36000 * sim::kSecond;
+  o.repl.anti_entropy_period = 36000 * sim::kSecond;
+  o.repl.group_ttl = 36000 * sim::kSecond;
+  return o;
+}
+
+class PushChecker {
+ public:
+  // Builds the ring and picks an owner with a linear arc wide enough for
+  // KeyAt, and its two holders.
+  explicit PushChecker(Cluster* c) : c_(c) {
+    c_->Bootstrap(kKeySpan);
+    for (int i = 0; i < 5; ++i) c_->AddFreePeer();
+    c_->RunFor(sim::kSecond);
+    sim::Rng rng(c_->options().seed);
+    for (int i = 0; i < 40; ++i) {
+      (void)c_->InsertItem(rng.Uniform(0, kKeySpan));
+    }
+    c_->RunFor(2 * sim::kSecond);
+    const std::vector<PeerStack*> ring = MembersByVal(*c_);
+    EXPECT_EQ(ring.size(), 6u);
+    for (size_t i = 0; i < ring.size() && owner_ == nullptr; ++i) {
+      const RingRange& r = ring[i]->ds->range();
+      if (r.lo() < r.hi() && r.hi() - r.lo() > 64 &&
+          ring[i]->ds->ItemCount() > 1) {
+        owner_ = ring[i];
+        holders_ = {ring[(i + 1) % ring.size()], ring[(i + 2) % ring.size()]};
+      }
+    }
+    EXPECT_NE(owner_, nullptr);
+    if (owner_ == nullptr) return;
+    // Warm every chain along the settled ring.
+    for (int round = 0; round < 2; ++round) {
+      for (PeerStack* p : c_->LiveMembers()) p->repl->PushNow();
+      c_->RunFor(sim::kSecond);
+    }
+    base_ = owner_->ds->ItemEpochsSnapshot();
+    range_ = owner_->ds->range();
+  }
+
+  PeerStack* owner() { return owner_; }
+  int walks() const { return walks_; }
+  int skips() const { return skips_; }
+  // A key on the owner's arc.
+  Key KeyAt(uint64_t i) const { return range_.lo() + 1 + i % 64; }
+
+  // Store changes made behind the replication manager's back.
+  void Store(Key skv, const std::string& data) {
+    owner_->ds->StoreItem(datastore::Item{skv, data});
+    touched_ = true;
+  }
+  void Drop(Key skv) {
+    owner_->ds->DropItem(skv);
+    touched_ = true;
+  }
+  // The clears of a deactivation and the activation that follows it.
+  void Reactivate(const std::vector<Key>& keys) {
+    datastore::SplitHandoff handoff;
+    handoff.range = range_;
+    for (Key k : keys) handoff.items.push_back(datastore::Item{k, "r"});
+    owner_->ds->Deactivate();
+    owner_->ds->ActivateFromHandoff(handoff);
+    touched_ = true;
+  }
+
+  // One refresh push.
+  void Push(const std::string& what) {
+    Check([this]() { owner_->repl->PushNow(); }, what);
+  }
+  // The push a successor failure triggers: the chain starts over with a
+  // snapshot.
+  void ChainReset(const std::string& what) {
+    warm_ = false;
+    Check([this]() { owner_->repl->OnSuccessorFailed(sim::kNullNode); },
+          what);
+  }
+
+ private:
+  // Runs `push`, which pushes the owner's items once, lets it land and
+  // checks it.  Only a quiet push on a warm chain skips the walk; an empty
+  // store's delta costs as much as its snapshot, so that push sends (and
+  // walks for) the snapshot.
+  void Check(const std::function<void()>& push, const std::string& what) {
+    SCOPED_TRACE(what);
+    const std::map<Key, datastore::Item> items = owner_->ds->ItemsSnapshot();
+    const std::map<Key, uint64_t> epochs = owner_->ds->ItemEpochsSnapshot();
+    size_t snapshot_cost = replication::kManifestWireBytes;
+    size_t delta_cost = replication::kManifestWireBytes;
+    for (const auto& [skv, item] : items) {
+      snapshot_cost += replication::WireBytes(item);
+      const auto base = base_.find(skv);
+      if (base == base_.end() || base->second != epochs.at(skv)) {
+        delta_cost += replication::WireBytes(item);
+      }
+    }
+    for (const auto& kv : base_) {
+      if (epochs.count(kv.first) == 0) {
+        delta_cost += replication::kDeleteWireBytes;
+      }
+    }
+    const bool expect_delta = warm_ && delta_cost < snapshot_cost;
+    const bool expect_walk = touched_ || !warm_ || items.empty();
+
+    const auto& ctr = c_->metrics().counters();
+    const uint64_t deltas = ctr.Get("repl.delta_pushes");
+    const uint64_t snapshots = ctr.Get("repl.snapshot_pushes");
+    const uint64_t bytes = ctr.Get("repl.push_bytes");
+    const uint64_t cursors = owner_->ds->store_stats().cursors;
+    push();
+    EXPECT_EQ(owner_->ds->store_stats().cursors > cursors, expect_walk);
+    ++(expect_walk ? walks_ : skips_);
+    c_->RunFor(50 * sim::kMillisecond);
+    EXPECT_EQ(ctr.Get("repl.delta_pushes") - deltas, expect_delta ? 1u : 0u);
+    EXPECT_EQ(ctr.Get("repl.snapshot_pushes") - snapshots,
+              expect_delta ? 0u : 1u);
+    EXPECT_EQ(ctr.Get("repl.push_bytes") - bytes,
+              expect_delta ? delta_cost : snapshot_cost);
+    for (PeerStack* h : holders_) {
+      const ReplicaGroup& group = h->repl->groups().at(owner_->id());
+      EXPECT_EQ(group.version, owner_->ds->mutation_epoch());
+      EXPECT_EQ(group.items(), items);
+      EXPECT_EQ(group.epochs(), epochs);
+    }
+    base_ = epochs;
+    warm_ = true;
+    touched_ = false;
+  }
+
+  Cluster* c_;
+  PeerStack* owner_ = nullptr;
+  std::vector<PeerStack*> holders_;
+  RingRange range_ = RingRange::Empty();
+  std::map<Key, uint64_t> base_;  // epochs as of the last push
+  bool warm_ = true;
+  bool touched_ = false;
+  int walks_ = 0;
+  int skips_ = 0;
+};
+
+TEST(QuietPushTest, EveryStoreChangeAndChainResetMakesTheNextPushWalk) {
+  Cluster c(HandPushedOptions(81));
+  PushChecker check(&c);
+  ASSERT_NE(check.owner(), nullptr);
+  check.Push("quiet");
+  check.Push("quiet again");
+  check.Store(check.KeyAt(1), "new");
+  check.Push("new key");
+  check.Push("quiet after the new key");
+  check.Store(check.KeyAt(1), "restamped");
+  check.Push("re-stamped key");
+  check.Drop(check.KeyAt(1));
+  check.Push("dropped key");
+  check.Drop(check.KeyAt(2));
+  check.Push("drop of a key the store lacks");
+  check.Reactivate({});
+  check.Push("activation clear, nothing stored since");
+  check.Push("quiet, empty store");
+  check.Reactivate({check.KeyAt(3), check.KeyAt(4)});
+  check.Push("activation with items");
+  check.Push("quiet after the activation");
+  check.ChainReset("chain reset");
+  check.Push("quiet after the chain reset");
+}
+
+// Random store changes, activations, chain resets and quiet rounds: every
+// push equals the uncached diff, and only the quiet ones skip the walk.
+TEST(QuietPushTest, RandomSequenceMatchesTheUncachedDiff) {
+  Cluster c(HandPushedOptions(82));
+  PushChecker check(&c);
+  ASSERT_NE(check.owner(), nullptr);
+  sim::Rng rng(82);
+  for (int step = 0; step < 300; ++step) {
+    const std::string what = "step " + std::to_string(step);
+    switch (rng.Uniform(0, 9)) {
+      case 0:
+      case 1:
+        check.Store(check.KeyAt(rng.Uniform(0, 24)),
+                    "d" + std::to_string(step));
+        break;
+      case 2:
+      case 3:
+        check.Drop(check.KeyAt(rng.Uniform(0, 24)));
+        break;
+      case 4: {
+        std::vector<Key> keys;
+        if (rng.Uniform(0, 1) == 0) {
+          for (uint64_t i = rng.Uniform(1, 6); i > 0; --i) {
+            keys.push_back(check.KeyAt(rng.Uniform(0, 24)));
+          }
+        }
+        check.Reactivate(keys);
+        break;
+      }
+      case 5:
+        check.ChainReset(what);
+        continue;
+      default:
+        break;  // a quiet round
+    }
+    check.Push(what);
+    if (::testing::Test::HasFailure()) break;
+  }
+  EXPECT_GT(check.walks(), 100);
+  EXPECT_GT(check.skips(), 50);
 }
 
 }  // namespace

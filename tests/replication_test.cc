@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "cluster_test_util.h"
+#include "replication/replica_manifest.h"
+#include "sim/node.h"
 #include "workload/cluster.h"
 #include "workload/workload.h"
 
@@ -174,6 +180,192 @@ TEST(ReplicationTest, ExtraHopRunsOnMergeDepartures) {
   const uint64_t merges = c.metrics().counters().Get("ds.merges");
   ASSERT_GT(merges, 0u);
   EXPECT_GE(c.metrics().counters().Get("repl.extra_hop_ops"), merges);
+}
+
+// --- The status rollup -------------------------------------------------------
+//
+// A push chain reports its clean holders to the owner in one status from
+// its last holder, instead of one status per holder.  These tests drive
+// single rounds by hand: the periodic refresh and anti-entropy timers sit
+// beyond the test horizon, and every message takes exactly kHop, so each
+// arrival instant is known.
+
+constexpr sim::SimTime kHop = sim::kMillisecond;
+
+ClusterOptions HandDrivenOptions(uint64_t seed, size_t k) {
+  ClusterOptions o = TestOptions(seed);
+  o.net.min_latency = kHop;
+  o.net.max_latency = kHop;
+  o.repl.replication_factor = k;
+  o.repl.refresh_period = 36000 * sim::kSecond;
+  o.repl.anti_entropy_period = 36000 * sim::kSecond;
+  o.repl.group_ttl = 36000 * sim::kSecond;
+  return o;
+}
+
+// A populated, settled ring in which every owner's group sits on its
+// current k successors and every chain is warm.  Returns the members in
+// ring order.
+std::vector<PeerStack*> SettledRing(Cluster& c, uint64_t seed) {
+  Populate(c, 80, seed);
+  for (int round = 0; round < 2; ++round) {
+    for (PeerStack* p : c.LiveMembers()) p->repl->PushNow();
+    c.RunFor(sim::kSecond);
+  }
+  return MembersByVal(c);
+}
+
+uint64_t Sent(Cluster& c, const std::string& payload_type) {
+  return c.sim().counters().Get("sim.msgs." + payload_type);
+}
+
+TEST(ReplicationRollupTest, QuietRoundSendsOneStatusAndBooksEveryHolder) {
+  constexpr size_t kK = 4;
+  Cluster c(HandDrivenOptions(71, kK));
+  const std::vector<PeerStack*> ring = SettledRing(c, 71);
+  ASSERT_GT(ring.size(), kK + 1);
+  PeerStack* owner = ring[0];
+  ASSERT_GT(owner->ds->ItemCount(), 0u);
+
+  const uint64_t statuses = Sent(c, "ReplicaStatusMsg");
+  const uint64_t deltas = Sent(c, "ReplicaDeltaMsg");
+  const uint64_t acks = Sent(c, "ReplicaPushAck");
+  const sim::SimTime t0 = c.sim().now();
+  owner->repl->PushNow();
+  c.RunFor(50 * sim::kMillisecond);
+
+  // k acked delta hops, and one status: the rollup from the k-th holder.
+  EXPECT_EQ(Sent(c, "ReplicaDeltaMsg") - deltas, kK);
+  EXPECT_EQ(Sent(c, "ReplicaPushAck") - acks, kK);
+  EXPECT_EQ(Sent(c, "ReplicaStatusMsg") - statuses, 1u);
+  // Hop i lands at t0 + i hops; the rollup leaves the k-th holder then.
+  const sim::SimTime rollup_at = t0 + (kK + 1) * kHop;
+  for (size_t i = 1; i <= kK; ++i) {
+    const auto it = owner->repl->holders().find(ring[i]->id());
+    ASSERT_NE(it, owner->repl->holders().end()) << "holder " << i;
+    EXPECT_EQ(it->second.last_ack, rollup_at) << "holder " << i;
+    EXPECT_EQ(it->second.last_chain_ack, rollup_at) << "holder " << i;
+  }
+}
+
+TEST(ReplicationRollupTest, OffChainHolderAsksForRepairAtOnce) {
+  constexpr size_t kK = 3;
+  Cluster c(HandDrivenOptions(72, kK));
+  const std::vector<PeerStack*> ring = SettledRing(c, 72);
+  ASSERT_GT(ring.size(), kK + 1);
+  PeerStack* owner = ring[0];
+  PeerStack* off_chain = ring[2];
+  const uint64_t v = owner->ds->mutation_epoch();
+  ASSERT_EQ(off_chain->repl->groups().at(owner->id()).version, v);
+
+  // Point-repair the second holder to a version the owner's chain never
+  // passes through (v + 1), then move the owner two mutations on: the
+  // v -> v + 2 delta neither starts nor ends at that copy.
+  auto push = std::make_shared<replication::ReplicaPushMsg>();
+  push->owner = owner->id();
+  push->owner_val = owner->ring->val();
+  push->manifest = replication::ReplicaManifest{v + 1, 0, 0};
+  push->direct = true;
+  sim::Node sender(&c.sim());
+  sender.Send(off_chain->id(), push);
+  c.RunFor(50 * sim::kMillisecond);
+  ASSERT_EQ(off_chain->repl->groups().at(owner->id()).version, v + 1);
+  const Key lo = owner->ds->range().hi();
+  owner->ds->StoreItem(datastore::Item{lo, "a"});
+  owner->ds->StoreItem(datastore::Item{lo, "b"});
+  ASSERT_EQ(owner->ds->mutation_epoch(), v + 2);
+
+  const uint64_t repairs = c.metrics().counters().Get("repl.snapshot_repairs");
+  const sim::SimTime t0 = c.sim().now();
+  owner->repl->PushNow();
+  c.RunFor(50 * sim::kMillisecond);
+
+  // The delta reaches the second holder at t0 + 2 hops; its need_full
+  // status goes out then, alone, and the owner's repair snapshot lands
+  // two hops later — the instants of a status sent by every holder.
+  EXPECT_EQ(c.metrics().counters().Get("repl.snapshot_repairs") - repairs, 1u);
+  const auto& repaired = off_chain->repl->groups().at(owner->id());
+  EXPECT_EQ(repaired.version, v + 2);
+  EXPECT_EQ(repaired.refreshed_at, t0 + 4 * kHop);
+  EXPECT_EQ(repaired.items(), owner->ds->ItemsSnapshot());
+  const auto& book = owner->repl->holders();
+  EXPECT_EQ(book.at(off_chain->id()).last_chain_ack, t0 + 3 * kHop);
+  // The clean holders on either side are credited by the rollup, which
+  // the third holder sends when the delta reaches it at t0 + 3 hops.
+  EXPECT_EQ(book.at(ring[1]->id()).last_chain_ack, t0 + 4 * kHop);
+  EXPECT_EQ(book.at(ring[3]->id()).last_chain_ack, t0 + 4 * kHop);
+}
+
+TEST(ReplicationRollupTest, LostForwardHopFlushesUpstreamCredit) {
+  constexpr size_t kK = 4;
+  Cluster c(HandDrivenOptions(73, kK));
+  const std::vector<PeerStack*> ring = SettledRing(c, 73);
+  ASSERT_GT(ring.size(), kK + 1);
+  PeerStack* owner = ring[0];
+  const auto& book = owner->repl->holders();
+  std::vector<sim::SimTime> before;
+  for (size_t i = 1; i <= kK; ++i) {
+    ASSERT_EQ(book.count(ring[i]->id()), 1u) << "holder " << i;
+    before.push_back(book.at(ring[i]->id()).last_ack);
+  }
+
+  // The third holder dies at the instant of the push: the second holder
+  // forwards into it before the ring can notice.
+  c.FailPeer(ring[3]);
+  const sim::SimTime t0 = c.sim().now();
+  owner->repl->PushNow();
+  // The forward leaves the second holder at t0 + 2 hops; it and its one
+  // resend time out, and the second holder flushes the chain's clean list
+  // to the owner, one hop away.
+  const sim::SimTime rpc = c.options().repl.rpc_timeout;
+  const sim::SimTime flushed_at =
+      t0 + 2 * kHop + (c.options().repl.push_retries + 1) * rpc + kHop;
+  c.sim().RunUntil(flushed_at - 1);
+  EXPECT_EQ(book.at(ring[1]->id()).last_ack, before[0]);
+  EXPECT_EQ(book.at(ring[2]->id()).last_ack, before[1]);
+  c.RunFor(50 * sim::kMillisecond);
+  EXPECT_EQ(book.at(ring[1]->id()).last_ack, flushed_at);
+  EXPECT_EQ(book.at(ring[1]->id()).last_chain_ack, flushed_at);
+  EXPECT_EQ(book.at(ring[2]->id()).last_ack, flushed_at);
+  // Neither the crashed hop nor the holder behind it is credited.
+  const auto dead = book.find(ring[3]->id());
+  EXPECT_TRUE(dead == book.end() || dead->second.last_ack == before[2]);
+  EXPECT_EQ(book.at(ring[4]->id()).last_ack, before[3]);
+  EXPECT_GE(c.metrics().counters().Get("repl.push_timeouts"), 1u);
+}
+
+// With every holder credited once per round by the rollup, no holder of a
+// stable ring ever looks quiet to the anti-entropy scan; and every push
+// hop is still acked or counted.
+TEST(ReplicationRollupTest, StableRingNeedsNoAntiEntropyProbes) {
+  ClusterOptions o = TestOptions(74);
+  o.repl.anti_entropy_period = o.repl.refresh_period;
+  o.repl.group_ttl = 3 * sim::kSecond;
+  Cluster c(o);
+  Populate(c, 100, 74);
+  // Holders the population's splits displaced from a chain are probed
+  // until they leave the book, one group TTL after their last chain
+  // status.
+  c.RunFor(2 * o.repl.group_ttl);
+  ASSERT_GE(c.LiveMembers().size(), 8u);
+  const auto& counters = c.metrics().counters();
+  const uint64_t probes = counters.Get("repl.anti_entropy_probes");
+  c.RunFor(20 * o.repl.refresh_period);
+  EXPECT_EQ(counters.Get("repl.anti_entropy_probes"), probes);
+
+  // Quiesce to an instant with no push hop in flight, then audit.
+  auto outstanding = [&c]() {
+    size_t n = 0;
+    for (const auto& p : c.peers()) n += p->repl->outstanding_pushes();
+    return n;
+  };
+  for (int i = 0; i < 1000 && outstanding() > 0; ++i) {
+    c.RunFor(100 * sim::kMicrosecond);
+  }
+  ASSERT_EQ(outstanding(), 0u);
+  EXPECT_EQ(counters.Get("repl.push_msgs"),
+            counters.Get("repl.push_acked") +
+                counters.Get("repl.push_attempt_timeouts"));
 }
 
 }  // namespace

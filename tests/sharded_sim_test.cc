@@ -258,6 +258,7 @@ struct ReplayResult {
   std::string trace;  // tracer DumpText, only with trace=true
   std::map<std::string, uint64_t> fires;  // sim.fires.<label> counts
   uint64_t timer_fires = 0;
+  std::map<std::string, uint64_t> msgs;  // sim.msgs.<PayloadType> counts
 };
 
 ReplayResult RunClusterReplay(uint64_t seed, uint32_t shards,
@@ -297,6 +298,7 @@ ReplayResult RunClusterReplay(uint64_t seed, uint32_t shards,
   r.live = cluster.LiveMembers().size();
   for (const auto& [name, v] : cluster.sim().counters().Snapshot()) {
     if (name.rfind("sim.fires.", 0) == 0) r.fires[name] = v;
+    if (name.rfind("sim.msgs.", 0) == 0) r.msgs[name] = v;
   }
   r.timer_fires = cluster.sim().timer_fires_executed();
   if (trace) {
@@ -343,6 +345,27 @@ TEST(ShardedSimTest, TimerFireLabelsSumToTheTotalAtAnyShardCount) {
   }
   EXPECT_EQ(four.fires, one.fires);
   EXPECT_EQ(four.timer_fires, one.timer_fires);
+}
+
+// Every sent message is counted under its payload type's unqualified
+// struct name, so the per-type counts add up to the network's total
+// exactly; and they do not depend on the partition either.
+TEST(ShardedSimTest, MessageTypeCountsSumToTheTotalAtAnyShardCount) {
+  const ReplayResult one = RunClusterReplay(42, 1);
+  const ReplayResult four = RunClusterReplay(42, 4);
+  uint64_t sum = 0;
+  for (const auto& [name, v] : one.msgs) {
+    sum += v;
+    EXPECT_EQ(name.find("::", 0), std::string::npos) << name;
+  }
+  EXPECT_EQ(sum, one.messages);
+  for (const char* type :
+       {"ReplicaDeltaMsg", "ReplicaPushAck", "ReplicaStatusMsg",
+        "PingRequest", "PingReply"}) {
+    EXPECT_GT(one.msgs.count(std::string("sim.msgs.") + type), 0u) << type;
+  }
+  EXPECT_EQ(four.msgs, one.msgs);
+  EXPECT_EQ(four.messages, one.messages);
 }
 
 // There is one engine: `shards` 0 (the ClusterOptions default) and 1 both

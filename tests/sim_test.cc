@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/node.h"
@@ -205,6 +206,31 @@ TEST(NetworkTest, EverySendCountsIncludingReplies) {
       [] {});
   sim.RunFor(kSecond);
   EXPECT_EQ(sim.network().messages_sent() - before, 2u);  // request + reply
+}
+
+template <typename T>
+struct Wrapped : Payload {};
+
+// Payload types are named by their unqualified struct name, whatever
+// namespace (here an anonymous one) declares them.
+TEST(NetworkTest, SendsAreCountedByPayloadTypeName) {
+  EXPECT_EQ(PayloadTypeName(PayloadTypeId<EchoRequest>()), "EchoRequest");
+  EXPECT_EQ(PayloadTypeName(PayloadTypeId<Wrapped<OneWay>>()).rfind(
+                "Wrapped<", 0),
+            0u);
+  EXPECT_EQ(PayloadTypeName(0), "none");
+  Simulator sim(7);
+  EchoNode a(&sim), b(&sim);
+  a.Call(
+      b.id(), std::make_shared<EchoRequest>(), [](const Message&) {}, kSecond,
+      [] {});
+  a.Send(b.id(), std::make_shared<OneWay>());
+  a.Send(b.id(), std::make_shared<OneWay>());
+  sim.RunFor(kSecond);
+  EXPECT_EQ(sim.counters().Get("sim.msgs.EchoRequest"), 1u);
+  EXPECT_EQ(sim.counters().Get("sim.msgs.EchoReply"), 1u);
+  EXPECT_EQ(sim.counters().Get("sim.msgs.OneWay"), 2u);
+  EXPECT_EQ(sim.network().messages_sent(), 4u);
 }
 
 TEST(NetworkTest, ChannelBookkeepingPrunedOnUnregister) {
