@@ -29,7 +29,7 @@ std::vector<double> RunOnce(bool pepper_scan, int max_hops) {
               return a->ring->val() < b->ring->val();
             });
 
-  std::vector<Summary> per_hops(static_cast<size_t>(max_hops) + 1);
+  std::vector<Histogram> per_hops(static_cast<size_t>(max_hops) + 1);
   for (int hops = 0; hops <= max_hops; ++hops) {
     for (size_t i = 0; i + static_cast<size_t>(hops) < ring.size(); i += 3) {
       workload::PeerStack* first = ring[i];

@@ -4,6 +4,8 @@
 // peer between sf and 2*sf items even under zipf-skewed insertions.
 
 #include <algorithm>
+#include <cmath>
+#include <vector>
 
 #include "bench_util.h"
 
@@ -44,17 +46,22 @@ Balance RunOnce(bool zipf, uint64_t seed) {
   }
   c.RunFor(20 * sim::kSecond);
 
-  Summary counts;
+  std::vector<double> counts;
   Balance b;
   const size_t sf = c.options().ds.storage_factor;
   for (workload::PeerStack* p : c.LiveMembers()) {
-    counts.Add(static_cast<double>(p->ds->ItemCount()));
+    counts.push_back(static_cast<double>(p->ds->ItemCount()));
     if (p->ds->ItemCount() > 2 * sf) ++b.over_bound;
   }
-  b.mean = counts.mean();
-  b.max = counts.max();
-  b.stddev = counts.stddev();
-  b.peers = counts.count();
+  b.peers = counts.size();
+  if (b.peers == 0) return b;
+  for (double n : counts) b.mean += n;
+  b.mean /= static_cast<double>(b.peers);
+  b.max = *std::max_element(counts.begin(), counts.end());
+  if (b.peers > 1) {
+    for (double n : counts) b.stddev += (n - b.mean) * (n - b.mean);
+    b.stddev = std::sqrt(b.stddev / static_cast<double>(b.peers - 1));
+  }
   return b;
 }
 

@@ -6,9 +6,9 @@
 //   bench_sim_core [--quick] [--json=FILE]
 //
 // Wall-clock throughput is machine-dependent; the simulated executions
-// themselves are deterministic.  tools/perf_report wraps the same
-// measurements together with the paper-scale scenario wall-clock probe and
-// emits BENCH_simcore.json (the tracked perf baseline).
+// themselves are deterministic.  The nightly job compares the --json output
+// against the micro block of BENCH_simcore.json (the tracked baseline) with
+// tools/check_perf_regression.py.
 
 #include <cstdio>
 #include <cstring>

@@ -1,6 +1,5 @@
-// Micro-benchmark drivers for the simulator core, shared by
-// bench/bench_sim_core.cc (CLI) and tools/perf_report.cc (the
-// BENCH_simcore.json emitter).  Each measurement builds a fresh Simulator,
+// Micro-benchmarks for the simulator core, run by
+// bench/bench_sim_core.cc.  Each measurement builds a fresh Simulator,
 // drives a synthetic steady-state workload through one hot path, and
 // reports operations per second of wall clock.
 //

@@ -60,72 +60,6 @@ double ExactSum::Total() const {
   return total;
 }
 
-void Summary::Add(double sample) {
-  samples_.push_back(sample);
-  sorted_ = false;
-}
-
-void Summary::Merge(const Summary& other) {
-  samples_.insert(samples_.end(), other.samples_.begin(),
-                  other.samples_.end());
-  sorted_ = false;
-}
-
-void Summary::Clear() {
-  samples_.clear();
-  sorted_ = true;
-}
-
-double Summary::mean() const {
-  if (samples_.empty()) return 0.0;
-  double sum = 0.0;
-  for (double s : samples_) sum += s;
-  return sum / static_cast<double>(samples_.size());
-}
-
-double Summary::min() const {
-  if (samples_.empty()) return 0.0;
-  return *std::min_element(samples_.begin(), samples_.end());
-}
-
-double Summary::max() const {
-  if (samples_.empty()) return 0.0;
-  return *std::max_element(samples_.begin(), samples_.end());
-}
-
-double Summary::stddev() const {
-  if (samples_.size() < 2) return 0.0;
-  const double m = mean();
-  double acc = 0.0;
-  for (double s : samples_) acc += (s - m) * (s - m);
-  return std::sqrt(acc / static_cast<double>(samples_.size() - 1));
-}
-
-void Summary::EnsureSorted() const {
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-}
-
-double Summary::Percentile(double q) const {
-  if (samples_.empty()) return 0.0;
-  EnsureSorted();
-  q = std::clamp(q, 0.0, 1.0);
-  const double idx = q * static_cast<double>(samples_.size() - 1);
-  const size_t lo = static_cast<size_t>(idx);
-  const size_t hi = std::min(lo + 1, samples_.size() - 1);
-  const double frac = idx - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-std::string Summary::ToString() const {
-  std::ostringstream os;
-  os << "n=" << count() << " mean=" << mean() << " p50=" << Percentile(0.5)
-     << " p95=" << Percentile(0.95) << " min=" << min() << " max=" << max();
-  return os.str();
-}
-
 // --- Histogram ---------------------------------------------------------------
 
 size_t Histogram::BucketIndex(double v) {

@@ -34,33 +34,6 @@ class ExactSum {
   std::array<uint64_t, kLimbs> limbs_{};
 };
 
-// Accumulates latency/size samples and reports summary statistics.  Keeps
-// every sample, so percentiles are exact order statistics — use it for
-// small, bounded sample sets (bench post-processing).  Long-running series
-// go through Histogram below, whose memory does not grow with the run.
-class Summary {
- public:
-  void Add(double sample);
-  void Merge(const Summary& other);
-  void Clear();
-
-  size_t count() const { return samples_.size(); }
-  double mean() const;
-  double min() const;
-  double max() const;
-  double stddev() const;
-  // q in [0, 1]; e.g. Percentile(0.5) is the median.
-  double Percentile(double q) const;
-
-  std::string ToString() const;
-
- private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
-
-  void EnsureSorted() const;
-};
-
 // Fixed-bucket log-scale histogram for non-negative samples (latencies in
 // seconds, hop counts, batch sizes).  Memory is O(buckets) — a flat
 // std::array, no heap — regardless of how many samples are added, which is

@@ -190,8 +190,7 @@ void ReplicationManager::ScanOwnItems(Visit&& visit) {
 }
 
 const ReplicaManifest& ReplicationManager::OwnManifest() {
-  if (own_manifest_.version != ds_->mutation_epoch() ||
-      own_content_version_ != ds_->content_version()) {
+  if (own_content_version_ != ds_->content_version()) {
     ScanOwnItems([](const datastore::Item&, uint64_t) {});
   }
   return own_manifest_;
@@ -275,12 +274,12 @@ void ReplicationManager::PushNow(std::function<void(bool)> settled) {
   }
   const int hops = static_cast<int>(options_.replication_factor) - 1;
   const bool warm = options_.delta_pushes && chain_warm_;
-  // A quiet round: nothing was stored or dropped since the last push on
-  // this warm chain, so the delta is provably empty, and the manifest and
+  // A quiet round: the store has not changed since the last push on this
+  // warm chain (every change that moves the mutation epoch moves the content
+  // version too), so the delta is provably empty, and the manifest and
   // snapshot cost that push left in the cache still hold.  The store is not
   // walked.
-  const bool quiet = warm && ds_->mutation_epoch() == last_push_version_ &&
-                     ds_->content_version() == last_push_content_;
+  const bool quiet = warm && ds_->content_version() == last_push_content_;
 
   std::function<void(HopResult)> on_first_hop;
   if (settled) {
@@ -364,8 +363,10 @@ void ReplicationManager::OnLocalItemsChanged() {
     // The durable-ack path often pushes the same mutation synchronously
     // before this debounce fires; an extra empty heartbeat down k acked
     // hops per mutation adds nothing (the periodic refresh handles
-    // keep-alive).
-    if (chain_warm_ && ds_->mutation_epoch() == last_push_version_) {
+    // keep-alive).  The test is on the content version, not the mutation
+    // epoch: an activation clear that stores nothing changes the content
+    // but not the epoch, and its push must still go out.
+    if (chain_warm_ && ds_->content_version() == last_push_content_) {
       Inc(m_pushes_coalesced_);
       return;
     }

@@ -364,13 +364,15 @@ class ReplicationManager : public sim::ProtocolComponent,
   // (key, epoch) of every item as of the last push, ascending by key (the
   // delta base snapshot).
   std::vector<std::pair<Key, uint64_t>> last_push_epochs_;
-  // The store's mutation epoch and content version at the last push.
+  // The store's mutation epoch (the next delta's from_version) and content
+  // version (the quiet-round and coalesce test) at the last push.
   uint64_t last_push_version_ = 0;
   uint64_t last_push_content_ = 0;
   bool chain_warm_ = false;  // a push went out since the last chain reset
   // The own store's manifest and full-snapshot wire cost as of the last
-  // scan, which saw content version `own_content_version_` (the manifest
-  // carries the mutation epoch).  The defaults describe the empty store.
+  // scan, which saw content version `own_content_version_`; the cache is
+  // current while the store's content version still equals it.  The
+  // defaults describe the empty store.
   ReplicaManifest own_manifest_;
   uint64_t own_content_version_ = 0;
   size_t own_snapshot_cost_ = kManifestWireBytes;

@@ -31,19 +31,6 @@ HrfRouter::HrfRouter(ring::RingNode* ring, datastore::DataStoreNode* ds,
     // *missed* a refresh yet, so the stall probe must not trip on it.
     options_.monitor->OnRefreshPass(id(), now());
   }
-  On<GetEntryRequest>(
-      [this](const sim::Message& m, const GetEntryRequest& req) {
-        auto reply = std::make_shared<GetEntryReply>();
-        if (req.level < levels_.size()) {
-          reply->valid = true;
-          reply->id = levels_[req.level].id;
-          reply->val = levels_[req.level].val;
-        }
-        if (options_.metrics != nullptr) {
-          options_.metrics->counters().Inc(m_refresh_replies_);
-        }
-        Reply(m, reply);
-      });
   On<GetLevelsRequest>(
       [this](const sim::Message& m, const GetLevelsRequest&) {
         auto reply = std::make_shared<GetLevelsReply>();
@@ -59,13 +46,10 @@ HrfRouter::HrfRouter(ring::RingNode* ring, datastore::DataStoreNode* ds,
         }
         Reply(m, reply);
       });
-  if (hrf_options_.batched_refresh) {
-    // Any ring event snaps the refresh cadence back to the base period; the
-    // hooks are multi-subscriber (replication listens too).
-    ring_->add_on_successor_failed(
-        [this](sim::NodeId, Key) { OnRingEvent(); });
-    ring_->add_on_new_successor([this](sim::NodeId, Key) { OnRingEvent(); });
-  }
+  // Any ring event snaps the refresh cadence back to the base period; the
+  // hooks are multi-subscriber (replication listens too).
+  ring_->add_on_successor_failed([this](sim::NodeId, Key) { OnRingEvent(); });
+  ring_->add_on_new_successor([this](sim::NodeId, Key) { OnRingEvent(); });
   // The only RNG draw the refresh path ever makes: the initial phase.
   // Cadence changes re-arm with fixed delays (SetPeriod), so adaptive
   // behavior never shifts the simulator's random stream — same-seed replay
@@ -79,108 +63,9 @@ uint64_t HrfRouter::DistFromSelf(Key to) const {
   return to - ring_->val();  // modular arithmetic on unsigned Key
 }
 
-void HrfRouter::CountRefreshRpc() {
-  if (options_.metrics != nullptr) {
-    options_.metrics->counters().Inc(m_refresh_rpcs_);
-  }
-}
+// --- Refresh pass with stability-adaptive cadence --------------------------
 
 void HrfRouter::Tick() {
-  if (hrf_options_.batched_refresh) {
-    BatchedTick();
-  } else {
-    RefreshTick();
-  }
-}
-
-// --- Legacy per-level refresh (A/B baseline, fixed cadence) -----------------
-
-void HrfRouter::RefreshTick() {
-  if (ring_->state() != ring::PeerState::kJoined &&
-      ring_->state() != ring::PeerState::kInserting) {
-    levels_.clear();
-    // No pass is owed outside member states (free pool, departing), so the
-    // staleness clock keeps ticking forward — a peer that lingers unrecruited
-    // must not read as stalled the moment it joins.
-    if (options_.monitor != nullptr) {
-      options_.monitor->OnRefreshPass(id(), now());
-    }
-    return;
-  }
-  auto succ = ring_->GetSuccRelaxed();
-  if (!succ.has_value() || succ->id == id()) {
-    levels_.clear();
-    // A lone peer (self-successor) has no chain to refresh; not a stall.
-    if (options_.monitor != nullptr) {
-      options_.monitor->OnRefreshPass(id(), now());
-    }
-    return;
-  }
-  if (options_.metrics != nullptr) {
-    options_.metrics->counters().Inc(m_refresh_passes_);
-  }
-  // Legacy path marks the staleness clock at pass start (it has no terminal
-  // continuation to mark completion on).
-  if (options_.monitor != nullptr) {
-    options_.monitor->OnRefreshPass(id(), now());
-  }
-  // The legacy pass has no terminal continuation, so the op only spans the
-  // synchronous kick; the per-level RPCs still attach as children through
-  // the installed context and their reply-hop chains.
-  const trace::OpToken pass = TraceOp("router.refresh_pass");
-  if (levels_.empty()) {
-    levels_.push_back(LevelEntry{succ->id, succ->val});
-  } else {
-    levels_[0] = LevelEntry{succ->id, succ->val};
-  }
-  RefreshLevel(1);
-  TraceFinish(pass);
-}
-
-void HrfRouter::RefreshLevel(size_t level) {
-  if (level >= hrf_options_.max_levels || level > levels_.size()) return;
-  const LevelEntry base = levels_[level - 1];
-  if (base.id == sim::kNullNode) return;
-  auto req = std::make_shared<GetEntryRequest>();
-  req->level = level - 1;
-  CountRefreshRpc();
-  Call(
-      base.id, req,
-      [this, level, base](const sim::Message& m) {
-        // In-flight race guards: the hierarchy may have been cleared or
-        // truncated below `level` while this request was in flight (a
-        // timeout or a ring state change); a late reply must not re-grow
-        // it.  Likewise, if the chain was rebuilt and level-(i-1) no longer
-        // is the peer we asked, this answer belongs to a dead chain.
-        if (level > levels_.size()) return;
-        if (levels_[level - 1] != base) return;
-        const auto& reply = static_cast<const GetEntryReply&>(*m.payload);
-        // The level-i pointer is the level-(i-1) peer's level-(i-1) pointer
-        // (~2^i successors away).  Stop when the hierarchy wraps past us.
-        if (!reply.valid || reply.id == id() ||
-            reply.id == sim::kNullNode ||
-            DistFromSelf(reply.val) <= DistFromSelf(base.val)) {
-          if (levels_.size() > level) levels_.resize(level);
-          return;
-        }
-        if (level < levels_.size()) {
-          levels_[level] = LevelEntry{reply.id, reply.val};
-        } else {
-          levels_.push_back(LevelEntry{reply.id, reply.val});
-        }
-        RefreshLevel(level + 1);
-      },
-      options_.lookup_timeout, [this, level]() {
-        // Truncate only: the hierarchy may have been rebuilt or cleared
-        // while this request was in flight, and growing here would insert
-        // null entries.
-        if (levels_.size() > level) levels_.resize(level);
-      });
-}
-
-// --- Batched refresh with stability-adaptive cadence ------------------------
-
-void HrfRouter::BatchedTick() {
   const ring::PeerState state = ring_->state();
   if (state != last_state_) {
     last_state_ = state;
@@ -250,14 +135,16 @@ void HrfRouter::ChainStep(size_t level, uint64_t pass_epoch) {
     FinishPass(pass_epoch, false);
     return;
   }
-  CountRefreshRpc();
+  if (options_.metrics != nullptr) {
+    options_.metrics->counters().Inc(m_refresh_rpcs_);
+  }
   Call(
       base.id, std::make_shared<GetLevelsRequest>(),
       [this, level, base, pass_epoch](const sim::Message& m) {
         if (pass_epoch != pass_epoch_) return;  // superseded pass
-        // In-flight race guards, same contract as the legacy path: a reply
-        // landing after the hierarchy was cleared/truncated below `level`
-        // (or rebuilt through another peer) must not re-grow it.
+        // In-flight race guards: a reply landing after the hierarchy was
+        // cleared/truncated below `level` (or rebuilt through another peer)
+        // must not re-grow it.
         if (level > levels_.size() || levels_[level - 1] != base) {
           FinishPass(pass_epoch, true);
           return;
@@ -265,8 +152,8 @@ void HrfRouter::ChainStep(size_t level, uint64_t pass_epoch) {
         const auto& reply = static_cast<const GetLevelsReply&>(*m.payload);
         // The level-i pointer is the remote's level-(i-1) entry (the remote
         // *is* our level-(i-1) pointer, so its level-(i-1) entry is ~2^i
-        // successors away) — validated by the same wrap/monotonic-distance
-        // checks as the per-level path.
+        // successors away) — validated by the wrap/monotonic-distance
+        // checks.
         if (!reply.valid || reply.entries.size() < level) {
           TruncateAndFinish(level, pass_epoch);
           return;
@@ -314,7 +201,7 @@ void HrfRouter::FinishPass(uint64_t pass_epoch, bool hard) {
   pass_active_ = false;
   TraceFinish(pass_op_);
   pass_op_ = trace::OpToken{};
-  // Batched path marks completion: a pass stuck on a dead chain peer keeps
+  // Marks completion: a pass stuck on a dead chain peer keeps
   // the staleness clock running, which is exactly the health signal.
   if (options_.monitor != nullptr) {
     options_.monitor->OnRefreshPass(id(), now());

@@ -10,7 +10,7 @@
 namespace pepper::router {
 
 // One routing-hierarchy pointer: a peer roughly 2^level ring successors
-// away.  Shared by the level vector and the refresh messages.
+// away.  Shared by the level vector and the refresh replies.
 struct LevelEntry {
   sim::NodeId id = sim::kNullNode;
   Key val = 0;
@@ -19,18 +19,6 @@ struct LevelEntry {
     return id == o.id && val == o.val;
   }
   bool operator!=(const LevelEntry& o) const { return !(*this == o); }
-};
-
-// Legacy per-level refresh probe: "what is your level-`level` pointer?".
-// Kept (behind HrfOptions::batched_refresh = false) as the A/B baseline for
-// the batched scheme below.
-struct GetEntryRequest : sim::Payload {
-  size_t level = 0;
-};
-struct GetEntryReply : sim::Payload {
-  bool valid = false;
-  sim::NodeId id = sim::kNullNode;
-  Key val = 0;
 };
 
 // Small-vector with N inline slots: elements live in the inline array until
@@ -80,8 +68,7 @@ class SmallVec {
 };
 
 // Batched refresh probe: one RPC returns the remote peer's entire level
-// vector, so a refresh pass reads each chain peer once instead of doing a
-// per-level GetEntry round trip per tick.
+// vector, so a refresh pass reads each chain peer once.
 struct GetLevelsRequest : sim::Payload {};
 struct GetLevelsReply : sim::Payload {
   bool valid = false;  // remote is ring-joined and answered with its vector
@@ -95,19 +82,14 @@ struct HrfOptions {
   // Base cadence: how often routing levels are rebuilt from the ring.
   sim::SimTime refresh_period = 2 * sim::kSecond;
   size_t max_levels = 48;
-  // Batched refresh (GetLevels full-vector chain) vs the legacy per-level
-  // GetEntry chain.  The legacy path also runs at a fixed cadence — it is
-  // the paper-figure baseline the A/B bench compares against.
-  bool batched_refresh = true;
-  // Stability-adaptive cadence (batched path only): the refresh period
-  // doubles after every pass that observes no change — same level-0
-  // successor, every returned vector entry identical to the assembled
-  // hierarchy — up to this cap.  It snaps back to `refresh_period` on any
-  // hard ring event (successor failure, new successor, peer state change,
-  // a timed-out chain peer, a hierarchy cleared under a pass), and halves
-  // after two consecutive passes that observed remote vector deltas (a
-  // one-off distant delta is tolerated — pointers are hints).  Set equal
-  // to `refresh_period` to disable.
+  // Stability-adaptive cadence: the refresh period doubles after every pass
+  // that observes no change — same level-0 successor, every returned vector
+  // entry identical to the assembled hierarchy — up to this cap.  It snaps
+  // back to `refresh_period` on any hard ring event (successor failure, new
+  // successor, peer state change, a timed-out chain peer, a hierarchy
+  // cleared under a pass), and halves after two consecutive passes that
+  // observed remote vector deltas (a one-off distant delta is tolerated —
+  // pointers are hints).  Set equal to `refresh_period` to disable.
   sim::SimTime max_refresh_period = 16 * sim::kSecond;
 };
 
@@ -135,7 +117,7 @@ class HrfRouter : public RouterBase {
   // --- Test-only hooks (deterministic race orchestration) ------------------
   // Current adaptive refresh period.
   sim::SimTime refresh_period_for_test() const { return current_period_; }
-  // Starts a refresh pass now (whichever path is configured).
+  // Starts a refresh pass now.
   void refresh_now_for_test() { Tick(); }
   // Simulates the hierarchy being cleared / truncated while a refresh RPC
   // is in flight (ring state change racing a slow reply).
@@ -149,14 +131,8 @@ class HrfRouter : public RouterBase {
   sim::NodeId NextHop(Key key) override;
 
  private:
+  // One refresh pass walks the chain with GetLevels RPCs.
   void Tick();
-
-  // Legacy per-level path (A/B baseline, fixed cadence).
-  void RefreshTick();
-  void RefreshLevel(size_t level);
-
-  // Batched path: one pass walks the chain with GetLevels RPCs.
-  void BatchedTick();
   void ChainStep(size_t level, uint64_t pass_epoch);
   void TruncateAndFinish(size_t level, uint64_t pass_epoch);
   // `hard` = instability observed right here (chain timeout, hierarchy
@@ -165,11 +141,9 @@ class HrfRouter : public RouterBase {
   // doubles it up to the cap.
   void FinishPass(uint64_t pass_epoch, bool hard);
 
-  // Cadence control (batched path).
+  // Cadence control.
   void SetPeriod(sim::SimTime period);
   void OnRingEvent();
-
-  void CountRefreshRpc();
 
   // Clockwise distance from this peer's value to `to` (modular Key
   // arithmetic).
@@ -186,7 +160,7 @@ class HrfRouter : public RouterBase {
   bool pass_active_ = false;
   bool pass_changed_ = false;
   int soft_delta_streak_ = 0;
-  // Trace span of the in-flight batched refresh pass (chain walk included);
+  // Trace span of the in-flight refresh pass (chain walk included);
   // finished by FinishPass.
   trace::OpToken pass_op_;
 

@@ -392,9 +392,7 @@ void ScenarioRunner::CheckHealth(ProbeOutcome* out) {
   if (health.max_refresh_period == 0 && options_.cluster.use_hrf_router) {
     // Derive the stall threshold from the router's cadence cap unless the
     // caller pinned one.
-    health.max_refresh_period = options_.cluster.hrf_batched_refresh
-                                    ? options_.cluster.hrf_max_refresh_period
-                                    : options_.cluster.hrf_refresh_period;
+    health.max_refresh_period = options_.cluster.hrf_max_refresh_period;
   }
   std::vector<sim::NodeId> live;
   for (workload::PeerStack* p : cluster.LiveMembers()) live.push_back(p->id());

@@ -56,7 +56,7 @@ struct ArcEvent {
 //   * RPC timeout rate: timeouts observed by callers, charged to the
 //     callee (the peer that failed to answer) — the gray-failure signal.
 //   * Refresh staleness: sim-time since the peer's router last completed a
-//     refresh pass (legacy tick or batched FinishPass).
+//     refresh pass (HrfRouter::FinishPass).
 //   * In-window event backlog: messages/RPC requests delivered per window.
 //
 // Storage: hot hooks write the executing node's own ring; the

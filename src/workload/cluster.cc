@@ -131,7 +131,6 @@ PeerStack* Cluster::MakeStack() {
     router::HrfOptions hopts;
     hopts.base = routopts;
     hopts.refresh_period = options_.hrf_refresh_period;
-    hopts.batched_refresh = options_.hrf_batched_refresh;
     hopts.max_refresh_period =
         std::max(options_.hrf_max_refresh_period, options_.hrf_refresh_period);
     stack->router = std::make_unique<router::HrfRouter>(

@@ -47,10 +47,8 @@ struct ClusterOptions {
   router::RouterOptions router;
   bool use_hrf_router = true;
   sim::SimTime hrf_refresh_period = 2 * sim::kSecond;
-  // Batched GetLevels refresh with stability-adaptive cadence (period backs
-  // off to hrf_max_refresh_period while the ring is stable).  false = the
-  // legacy per-level GetEntry chain at a fixed cadence — the A/B baseline.
-  bool hrf_batched_refresh = true;
+  // Cap of the stability-adaptive refresh cadence: the period backs off
+  // toward it while the ring is stable (HrfOptions::max_refresh_period).
   sim::SimTime hrf_max_refresh_period = 16 * sim::kSecond;
 
   // Causal tracing (trace/tracer.h).  Off by default: compiled in, zero

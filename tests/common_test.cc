@@ -74,20 +74,6 @@ TEST(MetricsHubTest, ReportListsEverything) {
   EXPECT_NE(report.find("cnt = 7"), std::string::npos);
 }
 
-TEST(SummaryTest, MergeAndClear) {
-  Summary a, b;
-  a.Add(1);
-  a.Add(2);
-  b.Add(3);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(a.stddev(), 1.0);
-  a.Clear();
-  EXPECT_EQ(a.count(), 0u);
-  EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-}
-
 TEST(LoggingTest, LevelGatesOutput) {
   const LogLevel before = GetLogLevel();
   SetLogLevel(LogLevel::kError);

@@ -183,16 +183,6 @@ TEST(RngTest, UniformCoversFullRangeEndpoints) {
   EXPECT_TRUE(saw_hi);
 }
 
-TEST(SummaryTest, PercentilesAreOrderStatistics) {
-  Summary s;
-  for (int i = 100; i >= 1; --i) s.Add(i);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 100.0);
-  EXPECT_NEAR(s.Percentile(0.5), 50.5, 0.01);
-  EXPECT_NEAR(s.mean(), 50.5, 0.01);
-  EXPECT_GT(s.Percentile(0.95), s.Percentile(0.5));
-}
-
 // --- Definition 6 on a live cluster -----------------------------------------
 
 // Registers a spy scan handler and audits every invocation against the

@@ -420,6 +420,7 @@ class PushChecker {
   }
 
   PeerStack* owner() { return owner_; }
+  const std::vector<PeerStack*>& holders() const { return holders_; }
   int walks() const { return walks_; }
   int skips() const { return skips_; }
   // A key on the owner's arc.
@@ -541,6 +542,28 @@ TEST(QuietPushTest, EveryStoreChangeAndChainResetMakesTheNextPushWalk) {
   check.Push("quiet after the activation");
   check.ChainReset("chain reset");
   check.Push("quiet after the chain reset");
+}
+
+// An activation clear that stores nothing changes the store's content but
+// not its mutation epoch.  The push the activation schedules must still go
+// out after its debounce, or every holder keeps items the owner no longer
+// has until the next refresh round (here never), and a revive in that
+// window could promote them.
+TEST(QuietPushTest, EmptyActivationPushesAfterTheDebounce) {
+  Cluster c(HandPushedOptions(83));
+  PushChecker check(&c);
+  ASSERT_NE(check.owner(), nullptr);
+  const sim::NodeId owner = check.owner()->id();
+  for (PeerStack* h : check.holders()) {
+    ASSERT_FALSE(h->repl->groups().at(owner).items().empty());
+  }
+  check.Reactivate({});
+  ASSERT_EQ(check.owner()->ds->ItemCount(), 0u);
+  c.RunFor(sim::kSecond);
+  for (PeerStack* h : check.holders()) {
+    EXPECT_TRUE(h->repl->groups().at(owner).items().empty())
+        << "holder " << h->id() << " still holds the pre-clear copy";
+  }
 }
 
 // Random store changes, activations, chain resets and quiet rounds: every

@@ -8,9 +8,10 @@
 //   * a hop that has left the ring refuses a forward, and the sender
 //     reroutes at once instead of waiting for the initiator's retry,
 //   * refresh replies landing after the hierarchy was cleared/truncated must
-//     not re-grow it (both the batched GetLevels and legacy GetEntry paths),
-//   * the batched refresh cadence backs off while the ring is stable and
-//     snaps back to the base period on ring events.
+//     not re-grow it,
+//   * the refresh cadence backs off while the ring is stable and snaps back
+//     to the base period on ring events, and a settled ring's refresh RPCs
+//     stay within what the backed-off cadence allows.
 
 #include <gtest/gtest.h>
 
@@ -244,28 +245,21 @@ TEST(RouterDeadEndTest, ForwardToDepartedPeerIsRefusedAndRerouted) {
 
 // --- Refresh truncate-vs-inflight races -------------------------------------
 
-class RefreshRaceTest : public ::testing::TestWithParam<bool> {
- protected:
-  // Builds a cluster whose refresh timers never fire on their own (huge
-  // period), with hierarchies assembled by explicit refresh passes — the
-  // only way to deterministically interleave a clear/truncate with an
-  // in-flight refresh RPC.
-  void Build(Cluster& c) { BuildHierarchies(c); }
+// A cluster whose refresh timers never fire on their own (huge period), so
+// hierarchies are assembled by explicit refresh passes (BuildHierarchies) —
+// the only way to deterministically interleave a clear/truncate with an
+// in-flight refresh RPC.
+ClusterOptions RaceOptions() {
+  ClusterOptions o = ClusterOptions::FastDefaults();
+  o.seed = 92;
+  o.hrf_refresh_period = 3600 * sim::kSecond;  // no self-driven ticks
+  return o;
+}
 
-  static ClusterOptions Options(bool batched) {
-    ClusterOptions o = ClusterOptions::FastDefaults();
-    o.seed = 92;
-    o.hrf_batched_refresh = batched;
-    o.hrf_refresh_period = 3600 * sim::kSecond;  // no self-driven ticks
-    return o;
-  }
-};
-
-TEST_P(RefreshRaceTest, LateReplyMustNotRegrowAClearedHierarchy) {
-  ClusterOptions o = Options(GetParam());
-  Cluster c(o);
+TEST(RefreshRaceTest, LateReplyMustNotRegrowAClearedHierarchy) {
+  Cluster c(RaceOptions());
   Populate(c, 150, 37);
-  Build(c);
+  BuildHierarchies(c);
 
   router::HrfRouter* hrf = nullptr;
   for (PeerStack* p : c.LiveMembers()) {
@@ -283,11 +277,10 @@ TEST_P(RefreshRaceTest, LateReplyMustNotRegrowAClearedHierarchy) {
   EXPECT_EQ(hrf->num_levels(), 0u);
 }
 
-TEST_P(RefreshRaceTest, LateReplyMustNotRegrowPastATruncation) {
-  ClusterOptions o = Options(GetParam());
-  Cluster c(o);
+TEST(RefreshRaceTest, LateReplyMustNotRegrowPastATruncation) {
+  Cluster c(RaceOptions());
   Populate(c, 150, 41);
-  Build(c);
+  BuildHierarchies(c);
 
   router::HrfRouter* hrf = nullptr;
   for (PeerStack* p : c.LiveMembers()) {
@@ -308,9 +301,6 @@ TEST_P(RefreshRaceTest, LateReplyMustNotRegrowPastATruncation) {
   c.RunFor(2 * sim::kSecond);
   EXPECT_EQ(hrf->num_levels(), 1u);
 }
-
-INSTANTIATE_TEST_SUITE_P(BatchedAndLegacy, RefreshRaceTest,
-                         ::testing::Values(true, false));
 
 // --- Stability-adaptive cadence ---------------------------------------------
 
@@ -345,6 +335,39 @@ TEST(AdaptiveCadenceTest, BacksOffWhenStableAndSnapsBackOnRingEvents) {
     snapped = hrf->refresh_period_for_test() == o.hrf_refresh_period;
   }
   EXPECT_TRUE(snapped) << "predecessor never snapped back to base cadence";
+}
+
+// The refresh cost of a settled ring: once every router has backed off to
+// the cap (the 10 s settle above shows they have), each pass reads each of
+// a router's levels once, and a window of length w holds at most
+// floor(w / cap) + 1 pass starts per router.  A router that stops backing
+// off pays (cap / base)x that.
+TEST(AdaptiveCadenceTest, SettledRingRefreshCostStaysAtTheCap) {
+  ClusterOptions o = ClusterOptions::FastDefaults();
+  o.seed = 93;
+  ASSERT_GT(o.hrf_max_refresh_period, o.hrf_refresh_period);
+  Cluster c(o);
+  Populate(c, 150, 43);
+  c.RunFor(10 * sim::kSecond);
+  const auto members = c.LiveMembers();
+  ASSERT_GE(members.size(), 10u);
+
+  constexpr sim::SimTime kWindow = 16 * sim::kSecond;
+  const uint64_t passes_per_router = kWindow / o.hrf_max_refresh_period + 1;
+  uint64_t bound = 0;
+  for (PeerStack* p : members) {
+    auto* hrf = dynamic_cast<router::HrfRouter*>(p->router.get());
+    ASSERT_NE(hrf, nullptr);
+    bound += hrf->num_levels() * passes_per_router;
+  }
+  const auto& ctr = c.metrics().counters();
+  const uint64_t before = ctr.Get("router.refresh_rpcs");
+  c.RunFor(kWindow);
+  const uint64_t rpcs = ctr.Get("router.refresh_rpcs") - before;
+  EXPECT_EQ(c.LiveMembers().size(), members.size());
+  EXPECT_GT(rpcs, 0u);
+  EXPECT_LE(rpcs, bound) << "refresh RPCs over " << members.size()
+                         << " settled routers in a 16 s window";
 }
 
 }  // namespace

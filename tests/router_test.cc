@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <utility>
 
 #include "cluster_test_util.h"
 #include "workload/cluster.h"
@@ -47,16 +46,14 @@ LookupResult LookupSync(Cluster& c, PeerStack* via, Key key) {
   return *res;
 }
 
-// (use_hrf_router, hrf_batched_refresh): the linear baseline plus both HRF
-// level-maintenance schemes must all land lookups on the current owner.
-class RouterKindTest
-    : public ::testing::TestWithParam<std::pair<bool, bool>> {};
+// use_hrf_router: the linear baseline and the HRF router must both land
+// lookups on the current owner.
+class RouterKindTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(RouterKindTest, LookupsFindTheCurrentOwner) {
   ClusterOptions o = ClusterOptions::FastDefaults();
   o.seed = 71;
-  o.use_hrf_router = GetParam().first;
-  o.hrf_batched_refresh = GetParam().second;
+  o.use_hrf_router = GetParam();
   Cluster c(o);
   Populate(c, 150, 7);
   auto members = c.LiveMembers();
@@ -77,9 +74,7 @@ TEST_P(RouterKindTest, LookupsFindTheCurrentOwner) {
 }
 
 INSTANTIATE_TEST_SUITE_P(LinearAndHrf, RouterKindTest,
-                         ::testing::Values(std::make_pair(false, true),
-                                           std::make_pair(true, true),
-                                           std::make_pair(true, false)));
+                         ::testing::Values(false, true));
 
 TEST(RouterTest, HrfBuildsLogarithmicLevels) {
   ClusterOptions o = ClusterOptions::FastDefaults();

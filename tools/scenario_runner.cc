@@ -73,10 +73,6 @@ void PrintUsage() {
       "                  report and as perf.* counters in the CSV dump\n"
       "                  (non-deterministic rows; leave off for replay\n"
       "                  comparisons)\n"
-      "  --legacy-router-refresh\n"
-      "                  per-level GetEntry refresh at a fixed cadence (the\n"
-      "                  pre-batching baseline) instead of batched GetLevels\n"
-      "                  with stability-adaptive cadence — for A/B runs\n"
       "  --trace=FILE    enable causal tracing and write the flight\n"
       "                  recorder as Chrome-trace JSON (loads in Perfetto /\n"
       "                  chrome://tracing); on a failing probe the causal\n"
@@ -121,7 +117,6 @@ int main(int argc, char** argv) {
   bool fatal = false;
   bool availability_fatal = true;
   bool timing = false;
-  bool legacy_router_refresh = false;
   bool quiet = false;
   bool slo_fatal = false;
   std::string scenario_name;
@@ -159,8 +154,6 @@ int main(int argc, char** argv) {
       availability_fatal = false;
     } else if (std::strcmp(argv[i], "--timing") == 0) {
       timing = true;
-    } else if (std::strcmp(argv[i], "--legacy-router-refresh") == 0) {
-      legacy_router_refresh = true;
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
       quiet = true;
     } else if (ParseFlag(argv[i], "--scenario", &value)) {
@@ -287,7 +280,6 @@ int main(int argc, char** argv) {
   options.fatal_probes = fatal;
   options.availability_fatal = availability_fatal;
   options.timing = timing;
-  options.cluster.hrf_batched_refresh = !legacy_router_refresh;
   options.cluster.trace = !trace_path.empty();
   options.cluster.trace_sample_every = trace_sample;
   options.slo = slo;
