@@ -51,10 +51,22 @@ Scenario JoinWaveScenario(const BuiltinParams& p) {
 }
 
 Scenario LongChurn(const BuiltinParams& p) {
+  // Guardrail latency bounds, not tight SLAs: wide enough for churn-phase
+  // retry tails (the insert deadline is 30 s of simulated time), tight
+  // enough to catch a systematic routing or takeover stall the audits alone
+  // would miss.
+  SloBounds slo;
+  slo.insert_p50 = 0.5;
+  slo.insert_p99 = 30;
+  slo.insert_p999 = 120;
+  slo.query_p50 = 2;
+  slo.query_p99 = 60;
+  slo.query_p999 = 120;
   return ScenarioBuilder("long_churn")
       .Describe("sustained failure-mode churn (the nightly property run): "
                 "failures race joins, merges and takeovers for a long "
                 "stretch of simulated time")
+      .Slo(slo)
       .BaseWorkload(BaseLoad())
       .Steady(Sec(30, p))
       .Churn(/*fail_rate_per_sec=*/0.05, /*join_rate_per_sec=*/1.0 / 3.0,
@@ -211,8 +223,10 @@ Scenario BigDataScenario(const BuiltinParams& p) {
   // Section 6.1 base rate) grows every arc's item set far past the default
   // storage factor, then audited range queries sweep the arcs end to end.
   // Run with --items-scale / --store=paged / --pool-pages to push each
-  // peer's working set through a bounded buffer pool; --min-store-hit-rate
-  // pins that the pool serves the load without thrashing.
+  // peer's working set through a bounded buffer pool; the declared hit-rate
+  // floor pins that the pool serves the load without thrashing (the
+  // in-memory store counts every access as a hit, so it holds trivially
+  // there).
   workload::WorkloadOptions heavy = BaseLoad();
   heavy.insert_rate_per_sec = 20.0;
   heavy.delete_rate_per_sec = 1.0;
@@ -221,6 +235,7 @@ Scenario BigDataScenario(const BuiltinParams& p) {
       .Describe("storage-heavy paged-store stress: a 10x insert torrent "
                 "grows every arc's tree, then audited range queries sweep "
                 "the items back through the bounded buffer pool")
+      .MinStoreHitRate(0.5)
       .BaseWorkload(heavy)
       .Steady(Sec(40, p))
       .FlashCrowd(/*zipf_theta=*/0.5, /*query_rate_per_sec=*/2.0, Sec(40, p))

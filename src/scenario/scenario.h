@@ -27,8 +27,8 @@ struct Phase {
   // FreePeerDrought: the free-peer directory answers "none" for the whole
   // phase; queued peers reappear when the drought lifts.
   bool suspend_free_peers = false;
-  // Skip the end-of-phase structural audits (ring, conservation, oracle,
-  // SLO) for this phase only.  For phases that deliberately hold the
+  // Skip the end-of-phase probe round (ring, oracle, conservation, router,
+  // store, SLO) for this phase only.  For phases that deliberately hold the
   // cluster in a degraded state — e.g. slow_peer's injection window, where
   // the victim's stale view is the condition under study, not a bug — the
   // audits would report the injection itself.  Health probes still run:
@@ -36,20 +36,39 @@ struct Phase {
   bool skip_probes = false;
 };
 
-// A named sequence of phases.  Immutable once built; runs are owned by
-// ScenarioRunner so one Scenario value can be executed many times (and at
-// many seeds) without rebuilding.
+// Per-phase latency bounds in seconds, read from each probed phase's own
+// wl.insert_time / wl.query_time histograms (log-bucketed, so a bound
+// should absorb the ~15% bucket-edge error).  0 leaves a quantile
+// unchecked.
+struct SloBounds {
+  double insert_p50 = 0;
+  double insert_p99 = 0;
+  double insert_p999 = 0;
+  double query_p50 = 0;
+  double query_p99 = 0;
+  double query_p999 = 0;
+};
+
+// A named sequence of phases plus the bounds its probes enforce.  Immutable
+// once built; runs are owned by ScenarioRunner so one Scenario value can be
+// executed many times (and at many seeds) without rebuilding.
 class Scenario {
  public:
   const std::string& name() const { return name_; }
   const std::string& description() const { return description_; }
   const std::vector<Phase>& phases() const { return phases_; }
+  const SloBounds& slo() const { return slo_; }
+  // Minimum cluster-wide buffer-pool hit rate, hits / (hits + faults) over
+  // every peer's store; 0 = unchecked.
+  double min_store_hit_rate() const { return min_store_hit_rate_; }
 
  private:
   friend class ScenarioBuilder;
   std::string name_;
   std::string description_;
   std::vector<Phase> phases_;
+  SloBounds slo_;
+  double min_store_hit_rate_ = 0;
 };
 
 // Composes scenarios from canned phase shapes (the vocabulary the paper's
@@ -74,6 +93,17 @@ class ScenarioBuilder {
 
   ScenarioBuilder& AddPhase(Phase phase) {
     scenario_.phases_.push_back(std::move(phase));
+    return *this;
+  }
+
+  // Bounds the probe round enforces after every probed phase; a breach is
+  // a violation like any audit.
+  ScenarioBuilder& Slo(const SloBounds& bounds) {
+    scenario_.slo_ = bounds;
+    return *this;
+  }
+  ScenarioBuilder& MinStoreHitRate(double rate) {
+    scenario_.min_store_hit_rate_ = rate;
     return *this;
   }
 

@@ -1,6 +1,5 @@
 #include "scenario/scenario_runner.h"
 
-#include <algorithm>
 #include <chrono>
 #include <iomanip>
 #include <map>
@@ -30,7 +29,7 @@ std::string RunReport::Text() const {
      << " violations across " << phases.size() << " phases)\n";
   for (const auto& p : phases) {
     os << "-- " << p.name << ": "
-       << (p.probes.ok ? "probes ok" : "PROBES FAILED");
+       << (p.probes.ok() ? "probes ok" : "PROBES FAILED");
     if (p.wall_seconds > 0.0) {
       os << " [wall " << std::fixed << std::setprecision(2) << p.wall_seconds
          << "s, "
@@ -120,22 +119,8 @@ RunReport ScenarioRunner::Run(const Scenario& scenario) {
     driver.set_options(phase.workload);
     driver.Start();
     const sim::SimTime phase_start = cluster.sim().now();
-    ProbeOutcome mid_health;  // mid-phase findings, merged into the probes
-    if (options_.health_probes && options_.health_check_period > 0) {
-      // Chunked run with health evaluation at fixed sim-time boundaries.
-      // The chunking is part of the run recipe, not data-dependent, so the
-      // event schedule is the same as one straight RunFor.
-      sim::SimTime remaining = phase.duration;
-      while (remaining > 0) {
-        const sim::SimTime step =
-            std::min(remaining, options_.health_check_period);
-        cluster.RunFor(step);
-        remaining -= step;
-        if (remaining > 0) CheckHealth(&mid_health);
-      }
-    } else {
-      cluster.RunFor(phase.duration);
-    }
+    PhaseOutcome outcome;
+    RunPhase(phase.duration, &outcome.probes);
     driver.Stop();
     phase_spans_.push_back(
         telemetry::PhaseSpan{label.str(), phase_start, cluster.sim().now()});
@@ -170,33 +155,17 @@ RunReport ScenarioRunner::Run(const Scenario& scenario) {
     registry.EndPhase(sim::ToSeconds(phase.duration));
     cluster.pool().set_suspended(false);
 
-    PhaseOutcome outcome;
     outcome.name = label.str();
     outcome.metrics = registry.phases().back();
     outcome.events = phase_events;
     if (options_.timing) outcome.wall_seconds = wall_seconds;
-    if (options_.run_probes && !phase.skip_probes) {
-      // Drain in-flight reorganizations (driver stopped, metrics closed) so
-      // transient states don't read as violations.
-      cluster.RunFor(options_.probe_settle);
-      outcome.probes = RunProbes();
-    }
-    if (options_.slo_probes && !phase.skip_probes) {
-      CheckSlo(outcome.metrics, &outcome.probes);
-    }
-    if (options_.health_probes) {
-      outcome.probes.health_violations += mid_health.health_violations;
-      for (auto& v : mid_health.violations) {
-        outcome.probes.violations.push_back(std::move(v));
-      }
-      CheckHealth(&outcome.probes);  // boundary check + ok recompute
-    }
+    RunProbes(scenario, phase, &outcome);
     if (options_.timeline && cluster.monitor() != nullptr) {
       outcome.top_arcs = telemetry::TopArcsText(
           *cluster.monitor(), phase_spans_.back().start,
-          phase_spans_.back().end, options_.timeline_top_k);
+          phase_spans_.back().end);
     }
-    if (!outcome.probes.ok) {
+    if (!outcome.probes.ok()) {
       report.ok = false;
       report.total_violations += outcome.probes.violations.size();
       // Audit-failure forensics: on the first failing round, snapshot the
@@ -213,185 +182,186 @@ RunReport ScenarioRunner::Run(const Scenario& scenario) {
     if (!report.ok && options_.fatal_probes) break;
   }
   if (options_.timeline && cluster.monitor() != nullptr) {
-    telemetry::TimelineOptions topts;
-    topts.top_k = options_.timeline_top_k;
     report.timeline_json = telemetry::TimelineJson(*cluster.monitor(),
-                                                   run_health_, phase_spans_,
-                                                   topts);
+                                                   run_health_, phase_spans_);
   }
   return report;
 }
 
-ProbeOutcome ScenarioRunner::RunProbes() {
-  ProbeOutcome out;
+void ScenarioRunner::RunPhase(sim::SimTime duration, ProbeOutcome* out) {
   workload::Cluster& cluster = *cluster_;
-
-  // --- Ring probe (Definition 5 + the Section 5.1 survival property) ------
-  const ring::RingAudit ring_audit = cluster.AuditRing();
-  out.ring_consistent = ring_audit.consistent;
-  out.ring_connected = ring_audit.connected;
-  for (const auto& v : ring_audit.violations) {
-    out.violations.push_back("ring: " + v);
-  }
-
-  // --- History-oracle availability probe (Definition 7) -------------------
-  // The audit is cumulative over the run; report only the keys newly lost
-  // since the previous probe round, so one loss is one violation, not one
-  // per remaining phase.
-  const auto avail = cluster.AuditAvailability();
-  std::vector<Key> newly_lost;
-  for (Key k : avail.lost) {
-    if (reported_lost_.find(k) == reported_lost_.end()) newly_lost.push_back(k);
-  }
-  reported_lost_ = std::set<Key>(avail.lost.begin(), avail.lost.end());
-  out.lost_items = newly_lost.size();
-  out.newly_lost = newly_lost;
-  if (!newly_lost.empty() && options_.availability_fatal) {
-    std::ostringstream os;
-    os << "oracle: " << newly_lost.size()
-       << " inserted item(s) no longer live, first key " << newly_lost[0];
-    out.violations.push_back(os.str());
-  }
-
-  // --- Item-conservation probe --------------------------------------------
-  // Every stored item lies in its holder's range and no key is owned twice:
-  // together with the availability probe this says reorganizations moved
-  // items without duplicating or stranding them.
-  std::set<Key> seen;
-  for (const auto& p : cluster.peers()) {
-    if (!p->ring->alive() || !p->ds->active()) continue;
-    p->ds->ForEachItem([&](const datastore::Item& item, uint64_t) {
-      if (!p->ds->range().Contains(item.skv)) {
-        ++out.conservation_errors;
-        out.violations.push_back(
-            "conservation: peer " + std::to_string(p->id()) +
-            " holds out-of-range key " + std::to_string(item.skv));
-      }
-      if (!seen.insert(item.skv).second) {
-        ++out.conservation_errors;
-        out.violations.push_back("conservation: key " +
-                                 std::to_string(item.skv) +
-                                 " owned by two peers");
-      }
-    });
-  }
-
-  // --- Router dead-end probe ----------------------------------------------
-  // A forwarding hop that dies mid-lookup is tolerated (the initiator-side
-  // retry completes the lookup), but it must stay a rare event: if the
-  // forward path dead-ends for more than 2% of a round's attempts, lookups
-  // are systematically stalling a full lookup-timeout each — a
-  // routing-layer pathology the timeout statistics alone would
-  // misattribute.  Diffed per probe round (like the Definition 7 probe
-  // above) so one bad phase is one violation, not one per remaining phase,
-  // and a late phase-local burst is not averaged away under a long run's
-  // earlier clean attempts.  The handful-per-round floor skips settle-
-  // window stragglers; paper-scale long_churn measures ~0.8% from
-  // transient takeover windows, while the pathology this bounds is tens
-  // of percent.
-  const auto& router_counters = cluster.metrics().counters();
-  const uint64_t total_dead_ends =
-      router_counters.Get("router.fwd_dead_end");
-  const uint64_t total_attempts = router_counters.Get("router.attempts");
-  const uint64_t round_dead_ends = total_dead_ends - reported_dead_ends_;
-  const uint64_t round_attempts = total_attempts - reported_attempts_;
-  reported_dead_ends_ = total_dead_ends;
-  reported_attempts_ = total_attempts;
-  out.router_dead_ends = round_dead_ends;
-  if (round_dead_ends > 5 && round_dead_ends * 50 > round_attempts) {
-    std::ostringstream os;
-    os << "router: " << round_dead_ends
-       << " forwarding dead-end(s) across " << round_attempts
-       << " attempts this round (>2%)";
-    out.violations.push_back(os.str());
-  }
-
-  // --- Buffer-pool hit-rate probe -----------------------------------------
-  // With a bounded paged store, a collapsing hit rate means the pool is
-  // thrashing (every access a simulated disk fault) — a capacity-planning
-  // failure the latency statistics would only show indirectly.  Cumulative
-  // over the run; read-only (audit reads perturb no schedule).
-  if (options_.min_store_hit_rate > 0.0) {
-    uint64_t hits = 0;
-    uint64_t faults = 0;
-    for (const auto& p : cluster.peers()) {
-      const store::StoreStats& s = p->ds->store_stats();
-      hits += s.hits;
-      faults += s.faults;
-    }
-    if (hits + faults > 0) {
-      const double rate = static_cast<double>(hits) /
-                          static_cast<double>(hits + faults);
-      if (rate < options_.min_store_hit_rate) {
-        std::ostringstream os;
-        os << "store: buffer hit rate " << rate << " below required "
-           << options_.min_store_hit_rate << " (" << hits << " hits, "
-           << faults << " faults)";
-        out.violations.push_back(os.str());
-      }
+  const sim::SimTime end = cluster.sim().now() + duration;
+  if (options_.health_probes) {
+    // The timeout-anomaly probe judges only closed windows, so one check
+    // per window boundary is the finest cadence that can find anything.
+    // Chunking RunFor does not move a single event.
+    const sim::SimTime window = options_.cluster.telemetry_window;
+    for (sim::SimTime t = (cluster.sim().now() / window + 1) * window;
+         t < end; t += window) {
+      cluster.RunFor(t - cluster.sim().now());
+      CheckHealth(out);
     }
   }
-
-  // --- Query audits (Definition 4) ----------------------------------------
-  // Diff the driver's cumulative count rather than the phase's metrics
-  // delta: a query completing inside the settle window would fall between
-  // two snapshots and silently vanish from both.
-  const size_t total_qv =
-      driver_ != nullptr ? driver_->query_violations() : 0;
-  out.query_violations = total_qv - reported_query_violations_;
-  reported_query_violations_ = total_qv;
-  if (out.query_violations > 0) {
-    out.violations.push_back(
-        "oracle: " + std::to_string(out.query_violations) +
-        " range-query result(s) failed the Definition 4 audit");
-  }
-
-  out.ok = out.violations.empty();
-  return out;
+  cluster.RunFor(end - cluster.sim().now());
 }
 
-void ScenarioRunner::CheckSlo(const MetricsRegistry::PhaseSnapshot& snap,
-                              ProbeOutcome* out) {
-  struct Bound {
-    const char* series;
-    double q;
-    double limit;
-    const char* label;
-  };
-  const RunnerOptions::SloBounds& slo = options_.slo;
-  const Bound bounds[] = {
-      {"wl.insert_time", 0.5, slo.insert_p50, "insert p50"},
-      {"wl.insert_time", 0.99, slo.insert_p99, "insert p99"},
-      {"wl.insert_time", 0.999, slo.insert_p999, "insert p999"},
-      {"wl.query_time", 0.5, slo.query_p50, "query p50"},
-      {"wl.query_time", 0.99, slo.query_p99, "query p99"},
-      {"wl.query_time", 0.999, slo.query_p999, "query p999"},
-  };
-  for (const Bound& b : bounds) {
-    if (b.limit <= 0.0) continue;
-    const Histogram* h = snap.FindSeries(b.series);
-    if (h == nullptr || h->count() == 0) continue;  // phase drove no such ops
-    const double v = h->Percentile(b.q);
-    if (v <= b.limit) continue;
-    ++out->slo_violations;
-    if (options_.slo_fatal) {
+void ScenarioRunner::RunProbes(const Scenario& scenario, const Phase& phase,
+                               PhaseOutcome* outcome) {
+  workload::Cluster& cluster = *cluster_;
+  ProbeOutcome& out = outcome->probes;
+  if (options_.run_probes && !phase.skip_probes) {
+    // Drain in-flight reorganizations (driver stopped, metrics closed) so
+    // transient states don't read as violations.
+    cluster.RunFor(options_.probe_settle);
+
+    // --- ring: Definition 5 + the Section 5.1 survival property ----------
+    for (const auto& v : cluster.AuditRing().violations) {
+      out.violations.push_back("ring: " + v);
+    }
+
+    // --- oracle: Definition 7 availability -------------------------------
+    // The audit is cumulative over the run; report only the keys newly
+    // lost since the previous round, so one loss is one finding, not one
+    // per remaining phase.
+    const auto avail = cluster.AuditAvailability();
+    for (Key k : avail.lost) {
+      if (reported_lost_.count(k) == 0) out.newly_lost.push_back(k);
+    }
+    reported_lost_ = std::set<Key>(avail.lost.begin(), avail.lost.end());
+    if (!out.newly_lost.empty()) {
+      std::ostringstream os;
+      os << "oracle: " << out.newly_lost.size()
+         << " inserted item(s) no longer live, first key "
+         << out.newly_lost[0];
+      out.violations.push_back(os.str());
+    }
+
+    // --- conservation: items in range, no key owned twice ----------------
+    // Together with the availability audit this says reorganizations moved
+    // items without duplicating or stranding them.
+    std::set<Key> seen;
+    for (const auto& p : cluster.peers()) {
+      if (!p->ring->alive() || !p->ds->active()) continue;
+      p->ds->ForEachItem([&](const datastore::Item& item, uint64_t) {
+        if (!p->ds->range().Contains(item.skv)) {
+          out.violations.push_back(
+              "conservation: peer " + std::to_string(p->id()) +
+              " holds out-of-range key " + std::to_string(item.skv));
+        }
+        if (!seen.insert(item.skv).second) {
+          out.violations.push_back("conservation: key " +
+                                   std::to_string(item.skv) +
+                                   " owned by two peers");
+        }
+      });
+    }
+
+    // --- router: forwarding dead-ends ------------------------------------
+    // A forwarding hop that dies mid-lookup is tolerated (the initiator-side
+    // retry completes the lookup), but it must stay a rare event: if the
+    // forward path dead-ends for more than 2% of a round's attempts,
+    // lookups are systematically stalling a full lookup-timeout each — a
+    // routing-layer pathology the timeout statistics alone would
+    // misattribute.  Diffed per round (like the availability audit) so one
+    // bad phase is one finding, and a late phase-local burst is not
+    // averaged away under a long run's earlier clean attempts.  The
+    // handful-per-round floor skips settle-window stragglers; paper-scale
+    // long_churn measures ~0.8% from transient takeover windows, while the
+    // pathology this bounds is tens of percent.
+    const auto& counters = cluster.metrics().counters();
+    const uint64_t total_dead_ends = counters.Get("router.fwd_dead_end");
+    const uint64_t total_attempts = counters.Get("router.attempts");
+    const uint64_t dead_ends = total_dead_ends - reported_dead_ends_;
+    const uint64_t attempts = total_attempts - reported_attempts_;
+    reported_dead_ends_ = total_dead_ends;
+    reported_attempts_ = total_attempts;
+    if (dead_ends > 5 && dead_ends * 50 > attempts) {
+      std::ostringstream os;
+      os << "router: " << dead_ends << " forwarding dead-end(s) across "
+         << attempts << " attempts this round (>2%)";
+      out.violations.push_back(os.str());
+    }
+
+    // --- store: buffer-pool hit rate (scenario-declared) -----------------
+    // With a bounded paged store, a collapsing hit rate means the pool is
+    // thrashing (every access a simulated disk fault).  Cumulative over the
+    // run.  The in-memory store counts every access as a hit.
+    if (scenario.min_store_hit_rate() > 0.0) {
+      uint64_t hits = 0;
+      uint64_t faults = 0;
+      for (const auto& p : cluster.peers()) {
+        const store::StoreStats& s = p->ds->store_stats();
+        hits += s.hits;
+        faults += s.faults;
+      }
+      if (hits + faults > 0) {
+        const double rate = static_cast<double>(hits) /
+                            static_cast<double>(hits + faults);
+        if (rate < scenario.min_store_hit_rate()) {
+          std::ostringstream os;
+          os << "store: buffer hit rate " << rate << " below required "
+             << scenario.min_store_hit_rate() << " (" << hits << " hits, "
+             << faults << " faults)";
+          out.violations.push_back(os.str());
+        }
+      }
+    }
+
+    // --- oracle: Definition 4 query audits -------------------------------
+    // Diff the driver's cumulative count rather than the phase's metrics
+    // delta: a query completing inside the settle window would fall between
+    // two snapshots and silently vanish from both.
+    const size_t total_qv =
+        driver_ != nullptr ? driver_->query_violations() : 0;
+    const size_t query_violations = total_qv - reported_query_violations_;
+    reported_query_violations_ = total_qv;
+    if (query_violations > 0) {
+      out.violations.push_back(
+          "oracle: " + std::to_string(query_violations) +
+          " range-query result(s) failed the Definition 4 audit");
+    }
+
+    // --- slo: per-phase latency bounds (scenario-declared) ---------------
+    const SloBounds& slo = scenario.slo();
+    const struct {
+      const char* series;
+      double q;
+      double limit;
+      const char* label;
+    } bounds[] = {
+        {"wl.insert_time", 0.5, slo.insert_p50, "insert p50"},
+        {"wl.insert_time", 0.99, slo.insert_p99, "insert p99"},
+        {"wl.insert_time", 0.999, slo.insert_p999, "insert p999"},
+        {"wl.query_time", 0.5, slo.query_p50, "query p50"},
+        {"wl.query_time", 0.99, slo.query_p99, "query p99"},
+        {"wl.query_time", 0.999, slo.query_p999, "query p999"},
+    };
+    for (const auto& b : bounds) {
+      if (b.limit <= 0.0) continue;
+      const Histogram* h = outcome->metrics.FindSeries(b.series);
+      if (h == nullptr || h->count() == 0) continue;  // no such ops
+      const double v = h->Percentile(b.q);
+      if (v <= b.limit) continue;
       std::ostringstream os;
       os << "slo: " << b.label << " " << std::setprecision(4) << v
          << "s exceeds " << b.limit << "s";
-      out->violations.push_back(os.str());
+      out.violations.push_back(os.str());
     }
   }
-  out->ok = out->violations.empty();
+
+  // --- health: timeout anomalies and refresh stalls ----------------------
+  // Runs on skip_probes phases too: detecting an injected degradation is
+  // the point.
+  if (options_.health_probes) CheckHealth(&out);
 }
 
 void ScenarioRunner::CheckHealth(ProbeOutcome* out) {
   workload::Cluster& cluster = *cluster_;
   telemetry::LoadMonitor* monitor = cluster.monitor();
   if (monitor == nullptr) return;
-  telemetry::HealthOptions health = options_.health;
-  if (health.max_refresh_period == 0 && options_.cluster.use_hrf_router) {
-    // Derive the stall threshold from the router's cadence cap unless the
-    // caller pinned one.
+  telemetry::HealthOptions health;
+  if (options_.cluster.use_hrf_router) {
+    // The stall threshold scales with the router's cadence cap.
     health.max_refresh_period = options_.cluster.hrf_max_refresh_period;
   }
   std::vector<sim::NodeId> live;
@@ -404,13 +374,9 @@ void ScenarioRunner::CheckHealth(ProbeOutcome* out) {
     const auto key =
         std::make_tuple(static_cast<int>(v.kind), v.node, v.window);
     if (!reported_health_.insert(key).second) continue;
-    ++out->health_violations;
     run_health_.push_back(v);
-    if (options_.health_fatal) {
-      out->violations.push_back("health: " + v.ToString());
-    }
+    out->violations.push_back("health: " + v.ToString());
   }
-  out->ok = out->violations.empty();
 }
 
 }  // namespace pepper::scenario

@@ -29,17 +29,12 @@ struct RunnerOptions {
   // Drained (driver stopped) before each probe round so transient
   // in-transit items don't read as violations; excluded from phase metrics.
   sim::SimTime probe_settle = 10 * sim::kSecond;
+  // Run the end-of-phase audits and the scenario's declared bounds (see
+  // ScenarioRunner::RunProbes); armed health probes run either way.
   bool run_probes = true;
-  // Stop at the first violating probe instead of finishing the scenario.
+  // Stop after the first phase with a finding instead of finishing the
+  // scenario.  Either way any finding fails the run.
   bool fatal_probes = false;
-  // Count Definition 7 availability loss as a violation.  True for every
-  // scenario built on graceful reorganization (the Section 5 guarantee is
-  // absolute there).  Benches driving *failure-mode* churn at extreme rates
-  // may set it false: with CFS-style replication, availability under
-  // fail-stop crashes is probabilistic (a peer can die before its successor
-  // ever held its replica group), and the audit is then informational —
-  // `lost_items` stays populated either way.
-  bool availability_fatal = true;
   // Record per-phase wall-clock and fold `perf.wall_us` /
   // `perf.events_per_sec` counters into the phase metrics (they appear in
   // the text and CSV dumps).  OFF by default: wall-clock is
@@ -48,71 +43,25 @@ struct RunnerOptions {
   // The deterministic `sim.events` counter and the per-label timer fires
   // (`sim.fires.<label>`) are folded in unconditionally.
   bool timing = false;
-
-  // Per-phase latency SLO probes, read from the phase's own wl.insert_time /
-  // wl.query_time histograms (seconds; log-bucketed, so thresholds should
-  // absorb the ~15% bucket-edge error).  A bound of 0 is unchecked.  With
-  // `slo_fatal` a breach is a violation like any audit (fails the run /
-  // stops it under fatal_probes); otherwise breaches are only counted in
-  // ProbeOutcome::slo_violations.
-  struct SloBounds {
-    double insert_p50 = 0;
-    double insert_p99 = 0;
-    double insert_p999 = 0;
-    double query_p50 = 0;
-    double query_p99 = 0;
-    double query_p999 = 0;
-  };
-  SloBounds slo;
-  bool slo_probes = false;
-  bool slo_fatal = false;
-
-  // Minimum cluster-wide buffer-pool hit rate (hits / (hits + faults)),
-  // summed over every peer's store at each probe round.  0 = unchecked.
-  // Only meaningful with the paged store backend and a bounded pool; the
-  // big_data scenario uses it to pin that the working set actually cycles
-  // through a bounded pool without thrashing.
-  double min_store_hit_rate = 0;
-
-  // --- Windowed telemetry / deterministic health probes --------------------
-  // Health probes (telemetry/health.h) run over the cluster's LoadMonitor
-  // (armed automatically): at every phase boundary, and additionally every
-  // `health_check_period` of simulated time *inside* a phase (0 = phase
-  // boundaries only).  Each (kind, peer, window) finding is reported once;
-  // with `health_fatal` a finding is a violation like any audit, otherwise
-  // it is only counted in ProbeOutcome::health_violations.
+  // Arm the deterministic health probes (telemetry/health.h) over the
+  // cluster's LoadMonitor (telemetry is armed automatically): they run at
+  // every telemetry-window boundary inside a phase and in the probe round.
   bool health_probes = false;
-  bool health_fatal = false;
-  telemetry::HealthOptions health;
-  sim::SimTime health_check_period = 0;
   // Build the windowed timeline: RunReport::timeline_json plus the
   // per-phase top-k hot-arc lines of the text report.  Arms telemetry.
   bool timeline = false;
-  size_t timeline_top_k = 5;
 };
 
-// What the invariant probes found after one phase (all audits are pure
-// observation — no simulated messages).
+// What the probes found for one phase (every probe is pure observation —
+// no simulated messages).  Each finding is one `<probe>: ...` line; any
+// finding fails the run.
 struct ProbeOutcome {
-  bool ok = true;
-  bool ring_consistent = true;  // Definition 5 successor-list consistency
-  bool ring_connected = true;   // Section 5.1 ring-survival property
-  size_t lost_items = 0;        // Definition 7 availability violations
-  size_t conservation_errors = 0;  // duplicates / out-of-range placements
-  size_t query_violations = 0;  // Definition 4 audits failed mid-phase
-  // Router forwarding dead-ends this probe round (a forward hop died and
-  // the ring fallback had nowhere fresh to go; the lookup stalled until
-  // the initiator retry).  Bounded: more than 2% of the round's attempts
-  // is a violation.
-  uint64_t router_dead_ends = 0;
-  // Latency-SLO breaches this phase (counted even when slo_fatal is off).
-  size_t slo_violations = 0;
-  // Health-probe findings this phase, mid-phase checks included (counted
-  // even when health_fatal is off).
-  size_t health_violations = 0;
-  // The keys behind `lost_items`, for forensics (flight-recorder dump).
-  std::vector<Key> newly_lost;
   std::vector<std::string> violations;
+  // The keys behind this phase's `oracle:` availability finding (Definition
+  // 7 loss newly seen this round), for the flight-recorder dump.
+  std::vector<Key> newly_lost;
+
+  bool ok() const { return violations.empty(); }
 };
 
 struct PhaseOutcome {
@@ -146,7 +95,7 @@ struct RunReport {
 // Executes a Scenario against a freshly built Cluster: per phase it re-arms
 // one WorkloadDriver with the phase's workload, runs simulated time, then
 // (between phases) stops the load, lets reorganizations drain, and runs the
-// invariant probes.  Per-phase telemetry comes from a MetricsRegistry over
+// probe round.  Per-phase telemetry comes from a MetricsRegistry over
 // the cluster's MetricsHub; network message counts are folded in as the
 // `net.messages_sent` counter so scenarios expose per-phase message series.
 class ScenarioRunner {
@@ -161,9 +110,13 @@ class ScenarioRunner {
   workload::Cluster* cluster() { return cluster_.get(); }
 
  private:
-  ProbeOutcome RunProbes();
-  // Appends latency-SLO breaches for one phase snapshot to `out`.
-  void CheckSlo(const MetricsRegistry::PhaseSnapshot& snap, ProbeOutcome* out);
+  // Runs simulated time to the end of the phase; with health armed, checks
+  // health at every telemetry-window boundary on the way.
+  void RunPhase(sim::SimTime duration, ProbeOutcome* out);
+  // The probe round after a phase: one block per probe, each appending its
+  // findings to `outcome->probes`.
+  void RunProbes(const Scenario& scenario, const Phase& phase,
+                 PhaseOutcome* outcome);
   // Evaluates the deterministic health probes against the cluster's load
   // monitor and appends unreported findings to `out`.
   void CheckHealth(ProbeOutcome* out);

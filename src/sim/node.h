@@ -64,8 +64,9 @@ class Node {
   // Periodic timer with a deterministic id; stops on failure or cancel.
   // Backed by the simulator's TimerWheel: the callback is allocated once
   // here and reused for every tick, and arm/cancel/rearm are O(1).  The
-  // short `label` (a string literal, e.g. "ring.stab") names the timer in
-  // the simulator's per-label fire counts, `sim.fires.<label>`.
+  // short `label` (a string literal, e.g. "ring.stab"; the simulator
+  // interns it by address) names the timer in the simulator's per-label
+  // fire counts, `sim.fires.<label>`.
   uint64_t Every(const char* label, SimTime period, std::function<void()> fn,
                  SimTime initial_delay);
   void CancelTimer(uint64_t timer_id);

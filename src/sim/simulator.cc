@@ -228,8 +228,16 @@ uint32_t Simulator::ArmTimer(NodeId id, SimTime expiry, SimTime period,
 }
 
 Counters::Id Simulator::FireCounter(const char* label) {
+  // Every arm and re-arm lands here; a pointer scan over the handful of
+  // labels seen so far skips building the name and scanning every counter.
+  for (const auto& [seen, id] : fire_counters_) {
+    if (seen == label) return id;
+  }
   PEPPER_CHECK(label != nullptr && label[0] != '\0');
-  return counters_.Intern(std::string("sim.fires.") + label);
+  const Counters::Id id =
+      counters_.Intern(std::string("sim.fires.") + label);
+  fire_counters_.emplace_back(label, id);
+  return id;
 }
 
 void Simulator::CountMessage(uint32_t payload_type) {

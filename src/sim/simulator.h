@@ -279,7 +279,7 @@ class Simulator {
   uint32_t ArmTimer(NodeId id, SimTime expiry, SimTime period,
                     std::function<void()> fn,
                     uint32_t fires = TimerWheel::kNil);
-  // Interns `sim.fires.<label>` in counters().
+  // Interns `sim.fires.<label>` in counters(), once per label address.
   Counters::Id FireCounter(const char* label);
   // Counts one sent message as `sim.msgs.<PayloadType>` in counters().
   void CountMessage(uint32_t payload_type);
@@ -325,6 +325,8 @@ class Simulator {
   // type's first send (kNoCounter until then).
   static constexpr Counters::Id kNoCounter = ~Counters::Id{0};
   std::vector<Counters::Id> msg_counters_;
+  // `sim.fires.<label>` handle by label address (labels are literals).
+  std::vector<std::pair<const char*, Counters::Id>> fire_counters_;
   trace::Tracer tracer_;
   TelemetrySink* telemetry_sink_ = nullptr;
   std::vector<Node*> nodes_;  // index == NodeId; nullptr when destroyed

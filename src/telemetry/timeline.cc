@@ -27,7 +27,7 @@ std::pair<uint64_t, uint64_t> RenderRange(const TimeSeries& series) {
 
 // Top-k arcs of one window by (arc load desc, node asc).
 std::vector<std::pair<NodeId, WindowCounters>> TopArcs(
-    std::vector<std::pair<NodeId, WindowCounters>> rows, size_t top_k) {
+    std::vector<std::pair<NodeId, WindowCounters>> rows) {
   std::stable_sort(rows.begin(), rows.end(),
                    [](const auto& a, const auto& b) {
                      const uint64_t la = a.second.arc_load();
@@ -39,7 +39,7 @@ std::vector<std::pair<NodeId, WindowCounters>> TopArcs(
   // lookups/scans/mutations has no hot arcs (pure message traffic is
   // reported in the totals instead).
   while (!rows.empty() && rows.back().second.arc_load() == 0) rows.pop_back();
-  if (rows.size() > top_k) rows.resize(top_k);
+  if (rows.size() > kTimelineTopK) rows.resize(kTimelineTopK);
   return rows;
 }
 
@@ -65,8 +65,7 @@ void AppendCounters(std::ostringstream& os, const WindowCounters& c) {
 
 std::string TimelineJson(const LoadMonitor& monitor,
                          const std::vector<HealthViolation>& health,
-                         const std::vector<PhaseSpan>& phases,
-                         const TimelineOptions& options) {
+                         const std::vector<PhaseSpan>& phases) {
   const TimeSeries& series = monitor.series();
   const auto [first, last] = RenderRange(series);
 
@@ -83,7 +82,7 @@ std::string TimelineJson(const LoadMonitor& monitor,
 
   std::ostringstream os;
   os << "{\n\"schema\":1,\n\"window_us\":" << series.window_length()
-     << ",\n\"top_k\":" << options.top_k << ",\n";
+     << ",\n\"top_k\":" << kTimelineTopK << ",\n";
   if (first == TimeSeries::kNoWindow) {
     os << "\"windows\":[]\n}\n";
     return os.str();
@@ -127,7 +126,7 @@ std::string TimelineJson(const LoadMonitor& monitor,
          << monitor.ReorgsInWindow(w, static_cast<ReorgKind>(k));
     }
     os << "},\"top_arcs\":[";
-    const auto top = TopArcs(series.CollectWindow(w), options.top_k);
+    const auto top = TopArcs(series.CollectWindow(w));
     for (size_t i = 0; i < top.size(); ++i) {
       if (i > 0) os << ",";
       const auto it = arcs.find(top[i].first);
@@ -161,8 +160,8 @@ std::string TimelineJson(const LoadMonitor& monitor,
   return os.str();
 }
 
-std::string TopArcsText(const LoadMonitor& monitor, SimTime from, SimTime to,
-                        size_t top_k) {
+std::string TopArcsText(const LoadMonitor& monitor, SimTime from,
+                        SimTime to) {
   const TimeSeries& series = monitor.series();
   const auto [first, last] = RenderRange(series);
   if (first == TimeSeries::kNoWindow || to <= from) return "";
@@ -171,7 +170,7 @@ std::string TopArcsText(const LoadMonitor& monitor, SimTime from, SimTime to,
       last, to == 0 ? last : series.WindowOf(to - 1));
   std::ostringstream os;
   for (uint64_t w = lo; w <= hi && w >= lo; ++w) {
-    const auto top = TopArcs(series.CollectWindow(w), top_k);
+    const auto top = TopArcs(series.CollectWindow(w));
     if (top.empty()) continue;
     const WindowCounters totals = series.CollectTotals(w);
     os << "   w" << w << " [t=" << series.WindowStart(w) / sim::kSecond

@@ -32,21 +32,18 @@ struct PhaseSpan {
   SimTime end = 0;
 };
 
-struct TimelineOptions {
-  size_t top_k = 5;
-};
+// Hot arcs listed per window in both renderings.
+inline constexpr size_t kTimelineTopK = 5;
 
 // The full windowed timeline as JSON.
 std::string TimelineJson(const LoadMonitor& monitor,
                          const std::vector<HealthViolation>& health,
-                         const std::vector<PhaseSpan>& phases,
-                         const TimelineOptions& options);
+                         const std::vector<PhaseSpan>& phases);
 
 // Per-window top-k hot-arc lines for the windows intersecting
 // [from, to) sim time — the text-report rendering.  Empty when the
 // interval holds no retained windows with any load.
-std::string TopArcsText(const LoadMonitor& monitor, SimTime from, SimTime to,
-                        size_t top_k);
+std::string TopArcsText(const LoadMonitor& monitor, SimTime from, SimTime to);
 
 }  // namespace pepper::telemetry
 

@@ -106,10 +106,7 @@ TEST(ScenarioRunnerTest, ChurnScenarioPassesAllProbes) {
   EXPECT_EQ(report.total_violations, 0u);
   ASSERT_EQ(report.phases.size(), scenario->phases().size());
   for (const auto& phase : report.phases) {
-    EXPECT_TRUE(phase.probes.ring_consistent) << phase.name;
-    EXPECT_TRUE(phase.probes.ring_connected) << phase.name;
-    EXPECT_EQ(phase.probes.lost_items, 0u) << phase.name;
-    EXPECT_EQ(phase.probes.conservation_errors, 0u) << phase.name;
+    EXPECT_TRUE(phase.probes.violations.empty()) << phase.name;
   }
   // The churn phase actually churned.
   const auto& churn = report.phases[1];
@@ -140,7 +137,7 @@ TEST(ScenarioRunnerTest, FlashCrowdQueriesAreAuditedClean) {
   uint64_t queries = 0;
   for (const auto& phase : report.phases) {
     queries += phase.metrics.Counter("wl.queries_issued");
-    EXPECT_EQ(phase.probes.query_violations, 0u) << phase.name;
+    EXPECT_TRUE(phase.probes.violations.empty()) << phase.name;
   }
   EXPECT_GT(queries, 0u);
 }
@@ -159,6 +156,61 @@ TEST(ScenarioRunnerTest, FreePeerDroughtStallsSplitsUntilItLifts) {
   EXPECT_GT(drought->metrics.Counter("ds.split_no_free_peer"), 0u)
       << report.Text();
   EXPECT_FALSE(runner.cluster()->pool().suspended());
+}
+
+// True when some finding of `phase` starts with `prefix`.
+bool HasFinding(const PhaseOutcome& phase, const std::string& prefix) {
+  for (const std::string& v : phase.probes.violations) {
+    if (v.rfind(prefix, 0) == 0) return true;
+  }
+  return false;
+}
+
+// A bound the scenario declares is enforced with no runner option set: an
+// unreachable insert-latency SLO fails the first probed phase, and under
+// fatal_probes the run stops there.
+TEST(ScenarioProbeTest, DeclaredSloBreachFailsTheRun) {
+  workload::WorkloadOptions load;
+  load.insert_rate_per_sec = 4.0;
+  SloBounds slo;
+  slo.insert_p50 = 1e-9;  // below any simulated insert latency
+  const Scenario scenario = ScenarioBuilder("slo_breach")
+                                .Slo(slo)
+                                .BaseWorkload(load)
+                                .Steady(5 * sim::kSecond)
+                                .Quiesce(2 * sim::kSecond)
+                                .Build();
+  RunnerOptions o = QuickRunner(31);
+  o.fatal_probes = true;
+  ScenarioRunner runner(o);
+  const RunReport report = runner.Run(scenario);
+  EXPECT_FALSE(report.ok);
+  ASSERT_EQ(report.phases.size(), 1u) << report.Text();
+  EXPECT_TRUE(HasFinding(report.phases[0], "slo: insert p50 "))
+      << report.Text();
+}
+
+// The declared buffer-pool floor: a paged store whose 2-frame pool cannot
+// hold a peer's tree must fault, so a required hit rate of 1.0 fails with a
+// `store:` finding and the fatal run stops after that phase.
+TEST(ScenarioProbeTest, DeclaredStoreHitRateFloorFailsTheRun) {
+  const Scenario scenario = ScenarioBuilder("store_floor")
+                                .MinStoreHitRate(1.0)
+                                .Steady(2 * sim::kSecond)
+                                .Quiesce(2 * sim::kSecond)
+                                .Build();
+  RunnerOptions o = QuickRunner(32);
+  o.cluster.ds.store.backend = store::StoreBackend::kPaged;
+  o.cluster.ds.store.buffer_pool_pages = 2;
+  o.cluster.ds.storage_factor = 100;  // several pages per peer
+  o.seed_items = 600;
+  o.fatal_probes = true;
+  ScenarioRunner runner(o);
+  const RunReport report = runner.Run(scenario);
+  EXPECT_FALSE(report.ok);
+  ASSERT_EQ(report.phases.size(), 1u) << report.Text();
+  EXPECT_TRUE(HasFinding(report.phases[0], "store: buffer hit rate "))
+      << report.Text();
 }
 
 }  // namespace

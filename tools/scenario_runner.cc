@@ -1,15 +1,20 @@
 // scenario_runner: executes the declarative stress scenarios of
-// src/scenario/ against a simulated PEPPER cluster, with the invariant
-// probes (ring audit, liveness-oracle audits, item conservation) between
-// phases and per-phase telemetry dumped as text or CSV.
+// src/scenario/ against a simulated PEPPER cluster, with the probe round
+// (ring, oracle, conservation, router, store and SLO probes; health when
+// armed) after every phase and per-phase telemetry dumped as text or CSV.
+// Every probe finding fails the run; the bounds a probe checks (latency
+// SLOs, the buffer-pool hit-rate floor) are declared by the scenario.
 //
 //   scenario_runner --list
 //   scenario_runner --scenario=long_churn [--seed=N] [--scale=F] [--paper]
 //                   [--csv=FILE] [--fatal-audits] [--trace=FILE]
-//                   [--slo-fatal] [--quiet]
+//                   [--health] [--timeline=FILE] [--quiet]
 //
-// Exit status: 0 on a clean run, 1 on probe violations, 2 on usage errors.
+// Exit status: 0 on a clean run, 1 on probe findings, 2 on usage errors
+// (an unknown flag, or a numeric value that does not parse in full).
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,6 +41,28 @@ bool ParseFlag(const char* arg, const char* name, std::string* value) {
   return true;
 }
 
+// Whole-string numeric parses: junk, a sign on an unsigned value or
+// trailing characters fail rather than read as 0 or a prefix.
+bool ParseNumber(const std::string& text, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtod(text.c_str(), &end);
+  return !text.empty() && errno == 0 && end == text.c_str() + text.size();
+}
+
+bool ParseNumber(const std::string& text, uint64_t* out) {
+  if (text.empty() || text[0] < '0' || text[0] > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtoull(text.c_str(), &end, 10);
+  return errno == 0 && end == text.c_str() + text.size();
+}
+
+int InvalidValue(const char* flag, const std::string& value) {
+  std::fprintf(stderr, "invalid value for %s: '%s'\n", flag, value.c_str());
+  return 2;
+}
+
 void PrintUsage() {
   std::printf(
       "usage: scenario_runner --list | --scenario=NAME [options]\n"
@@ -60,15 +87,9 @@ void PrintUsage() {
       "  --items-scale=F multiply the seed-item count and the storage\n"
       "                  factor by F (10-100x turns any scenario into a\n"
       "                  big-data run)\n"
-      "  --min-store-hit-rate=F\n"
-      "                  probe: cluster-wide buffer hit rate must stay >= F\n"
-      "                  (0 = unchecked)\n"
       "  --csv=FILE      write the per-phase metrics dump as CSV\n"
-      "  --fatal-audits  stop at the first violating probe\n"
-      "  --availability-informational\n"
-      "                  report Definition 7 item loss without failing the\n"
-      "                  run (failure-mode churn: availability under crashes\n"
-      "                  is probabilistic, see ROADMAP)\n"
+      "  --fatal-audits  stop after the first phase with a probe finding\n"
+      "                  (any finding fails the run either way)\n"
       "  --timing        per-phase wall-clock and events/sec in the text\n"
       "                  report and as perf.* counters in the CSV dump\n"
       "                  (non-deterministic rows; leave off for replay\n"
@@ -84,28 +105,16 @@ void PrintUsage() {
       "                  PREFIX (e.g. router. or ring.) — bounds the trace\n"
       "                  file without changing what was recorded\n"
       "  --timeline=FILE write the windowed telemetry timeline as JSON and\n"
-      "                  add per-phase top-k hot-arc lines to the text\n"
+      "                  add per-phase top-5 hot-arc lines to the text\n"
       "                  report (schedule-invisible, byte-identical at any\n"
       "                  --shards)\n"
-      "  --timeline-top-k=N\n"
-      "                  hot arcs per window in the timeline (default 5)\n"
       "  --telemetry-window=S\n"
       "                  telemetry window length in (fractional) seconds\n"
       "                  (default 5)\n"
-      "  --health        evaluate the deterministic health probes (timeout\n"
-      "                  anomalies, router refresh stalls) at phase\n"
-      "                  boundaries; findings are counted, not fatal\n"
-      "  --health-fatal  a health finding fails the run like an audit\n"
-      "  --health-check-period=S\n"
-      "                  additionally evaluate health probes every S\n"
-      "                  simulated seconds inside a phase (0 = boundaries\n"
-      "                  only)\n"
-      "  --slo-insert-p50=S --slo-insert-p99=S --slo-insert-p999=S\n"
-      "  --slo-query-p50=S --slo-query-p99=S --slo-query-p999=S\n"
-      "                  per-phase latency SLO bounds in (fractional)\n"
-      "                  seconds, read from the phase's wl.insert_time /\n"
-      "                  wl.query_time histograms; 0 = unchecked\n"
-      "  --slo-fatal     an SLO breach fails the run like an audit\n"
+      "  --health        arm the deterministic health probes (timeout\n"
+      "                  anomalies, router refresh stalls), checked at every\n"
+      "                  telemetry-window boundary and after each phase; a\n"
+      "                  finding fails the run like any probe\n"
       "  --quiet         suppress the text report\n");
 }
 
@@ -115,10 +124,9 @@ int main(int argc, char** argv) {
   bool list = false;
   bool paper = false;
   bool fatal = false;
-  bool availability_fatal = true;
   bool timing = false;
   bool quiet = false;
-  bool slo_fatal = false;
+  bool health = false;
   std::string scenario_name;
   std::string csv_path;
   std::string trace_path;
@@ -128,19 +136,12 @@ int main(int argc, char** argv) {
   uint64_t trace_sample = 1;
   double scale = 1.0;
   double items_scale = 1.0;
-  double min_store_hit_rate = 0.0;
   std::string store_backend = "map";
   uint64_t page_io_latency = 0;
   uint64_t pool_pages = 0;
   bool pool_fifo = false;
-  double telemetry_window_s = 0.0;
-  double health_check_period_s = 0.0;
-  size_t timeline_top_k = 5;
-  uint32_t shards = 0;
-  bool health = false;
-  bool health_fatal = false;
-  RunnerOptions::SloBounds slo;
-  bool slo_any = false;
+  sim::SimTime telemetry_window = 0;  // 0: the cluster default
+  uint64_t shards = 0;
 
   for (int i = 1; i < argc; ++i) {
     std::string value;
@@ -150,75 +151,61 @@ int main(int argc, char** argv) {
       paper = true;
     } else if (std::strcmp(argv[i], "--fatal-audits") == 0) {
       fatal = true;
-    } else if (std::strcmp(argv[i], "--availability-informational") == 0) {
-      availability_fatal = false;
     } else if (std::strcmp(argv[i], "--timing") == 0) {
       timing = true;
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
       quiet = true;
+    } else if (std::strcmp(argv[i], "--health") == 0) {
+      health = true;
+    } else if (std::strcmp(argv[i], "--pool-fifo") == 0) {
+      pool_fifo = true;
     } else if (ParseFlag(argv[i], "--scenario", &value)) {
       scenario_name = value;
     } else if (ParseFlag(argv[i], "--seed", &value)) {
-      seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(value, &seed)) return InvalidValue("--seed", value);
     } else if (ParseFlag(argv[i], "--scale", &value)) {
-      scale = std::strtod(value.c_str(), nullptr);
+      if (!ParseNumber(value, &scale) || !(scale > 0.0)) {
+        return InvalidValue("--scale", value);
+      }
     } else if (ParseFlag(argv[i], "--store", &value)) {
       store_backend = value;
     } else if (ParseFlag(argv[i], "--page-io-latency", &value)) {
-      page_io_latency = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(value, &page_io_latency)) {
+        return InvalidValue("--page-io-latency", value);
+      }
     } else if (ParseFlag(argv[i], "--pool-pages", &value)) {
-      pool_pages = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--pool-fifo") == 0) {
-      pool_fifo = true;
+      if (!ParseNumber(value, &pool_pages)) {
+        return InvalidValue("--pool-pages", value);
+      }
     } else if (ParseFlag(argv[i], "--items-scale", &value)) {
-      items_scale = std::strtod(value.c_str(), nullptr);
-    } else if (ParseFlag(argv[i], "--min-store-hit-rate", &value)) {
-      min_store_hit_rate = std::strtod(value.c_str(), nullptr);
+      if (!ParseNumber(value, &items_scale) || !(items_scale > 0.0)) {
+        return InvalidValue("--items-scale", value);
+      }
     } else if (ParseFlag(argv[i], "--shards", &value)) {
-      shards = static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+      if (!ParseNumber(value, &shards) || shards > UINT32_MAX) {
+        return InvalidValue("--shards", value);
+      }
     } else if (ParseFlag(argv[i], "--csv", &value)) {
       csv_path = value;
     } else if (ParseFlag(argv[i], "--trace", &value)) {
       trace_path = value;
     } else if (ParseFlag(argv[i], "--trace-sample", &value)) {
-      trace_sample = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseNumber(value, &trace_sample)) {
+        return InvalidValue("--trace-sample", value);
+      }
       if (trace_sample == 0) trace_sample = 1;
     } else if (ParseFlag(argv[i], "--trace-filter", &value)) {
       trace_filter = value;
     } else if (ParseFlag(argv[i], "--timeline", &value)) {
       timeline_path = value;
-    } else if (ParseFlag(argv[i], "--timeline-top-k", &value)) {
-      timeline_top_k =
-          static_cast<size_t>(std::strtoull(value.c_str(), nullptr, 10));
     } else if (ParseFlag(argv[i], "--telemetry-window", &value)) {
-      telemetry_window_s = std::strtod(value.c_str(), nullptr);
-    } else if (std::strcmp(argv[i], "--health") == 0) {
-      health = true;
-    } else if (std::strcmp(argv[i], "--health-fatal") == 0) {
-      health = true;
-      health_fatal = true;
-    } else if (ParseFlag(argv[i], "--health-check-period", &value)) {
-      health_check_period_s = std::strtod(value.c_str(), nullptr);
-    } else if (std::strcmp(argv[i], "--slo-fatal") == 0) {
-      slo_fatal = true;
-    } else if (ParseFlag(argv[i], "--slo-insert-p50", &value)) {
-      slo.insert_p50 = std::strtod(value.c_str(), nullptr);
-      slo_any = true;
-    } else if (ParseFlag(argv[i], "--slo-insert-p99", &value)) {
-      slo.insert_p99 = std::strtod(value.c_str(), nullptr);
-      slo_any = true;
-    } else if (ParseFlag(argv[i], "--slo-insert-p999", &value)) {
-      slo.insert_p999 = std::strtod(value.c_str(), nullptr);
-      slo_any = true;
-    } else if (ParseFlag(argv[i], "--slo-query-p50", &value)) {
-      slo.query_p50 = std::strtod(value.c_str(), nullptr);
-      slo_any = true;
-    } else if (ParseFlag(argv[i], "--slo-query-p99", &value)) {
-      slo.query_p99 = std::strtod(value.c_str(), nullptr);
-      slo_any = true;
-    } else if (ParseFlag(argv[i], "--slo-query-p999", &value)) {
-      slo.query_p999 = std::strtod(value.c_str(), nullptr);
-      slo_any = true;
+      double seconds = 0.0;
+      if (!ParseNumber(value, &seconds) ||
+          !(seconds * static_cast<double>(sim::kSecond) >= 1.0)) {
+        return InvalidValue("--telemetry-window", value);
+      }
+      telemetry_window = static_cast<sim::SimTime>(
+          seconds * static_cast<double>(sim::kSecond));
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
       PrintUsage();
@@ -251,7 +238,7 @@ int main(int argc, char** argv) {
   options.cluster = paper ? pepper::workload::ClusterOptions::PaperDefaults()
                           : pepper::workload::ClusterOptions::FastDefaults();
   options.cluster.seed = seed;
-  options.cluster.shards = shards;
+  options.cluster.shards = static_cast<uint32_t>(shards);
   options.initial_free_peers = 10;
   options.seed_items = 40;
   if (store_backend == "paged") {
@@ -276,27 +263,14 @@ int main(int argc, char** argv) {
     options.cluster.ds.storage_factor = static_cast<size_t>(
         static_cast<double>(options.cluster.ds.storage_factor) * items_scale);
   }
-  options.min_store_hit_rate = min_store_hit_rate;
   options.fatal_probes = fatal;
-  options.availability_fatal = availability_fatal;
   options.timing = timing;
   options.cluster.trace = !trace_path.empty();
   options.cluster.trace_sample_every = trace_sample;
-  options.slo = slo;
-  options.slo_probes = slo_any;
-  options.slo_fatal = slo_fatal;
   options.health_probes = health;
-  options.health_fatal = health_fatal;
-  if (health_check_period_s > 0.0) {
-    options.health_check_period =
-        static_cast<sim::SimTime>(health_check_period_s *
-                                  static_cast<double>(sim::kSecond));
-  }
   options.timeline = !timeline_path.empty();
-  options.timeline_top_k = timeline_top_k;
-  if (telemetry_window_s > 0.0) {
-    options.cluster.telemetry_window = static_cast<sim::SimTime>(
-        telemetry_window_s * static_cast<double>(sim::kSecond));
+  if (telemetry_window > 0) {
+    options.cluster.telemetry_window = telemetry_window;
   }
   if (paper) {
     // Paper timers are ~20x slower than FastDefaults; give reorganizations
