@@ -65,6 +65,7 @@ void DataStoreNode::Activate(RingRange range, std::vector<Item> items) {
   for (const Item& it : items) {
     StoreItem(it);
   }
+  for (const auto& fn : on_range_change_) fn();
 }
 
 void DataStoreNode::ActivateAsFirst() {
@@ -93,16 +94,19 @@ void DataStoreNode::Deactivate() {
   ++content_version_;
   active_ = false;
   range_ = RingRange::Empty();
-  if (options_.observer != nullptr) {
-    options_.observer->OnRangeChange(id(), range_, /*active=*/false);
-  }
+  NoteRangeChange();
 }
 
 void DataStoreNode::set_range(const RingRange& range) {
   range_ = range;
+  NoteRangeChange();
+}
+
+void DataStoreNode::NoteRangeChange() {
   if (options_.observer != nullptr) {
     options_.observer->OnRangeChange(id(), range_, active_);
   }
+  for (const auto& fn : on_range_change_) fn();
 }
 
 void DataStoreNode::OnPredChanged() { takeover_->OnPredChanged(); }

@@ -172,8 +172,7 @@ struct DataStoreOptions {
   sim::SimTime lock_timeout = 10 * sim::kSecond;
   // A successor that offered a takeover gives up waiting after this long.
   sim::SimTime takeover_timeout = 30 * sim::kSecond;
-  // Retries for a scan waiting on the successor STAB gate.
-  int scan_succ_retries = 40;
+  // Wait between retries of a scan held at the successor STAB gate.
   sim::SimTime scan_succ_retry_delay = 50 * sim::kMillisecond;
   int scan_hop_budget = 512;
   // PEPPER replicate-to-additional-hop before a merge departure (Section
@@ -303,6 +302,14 @@ class DataStoreNode : public sim::ProtocolComponent {
 
   void set_replication(ReplicationHooks* hooks) { replication_ = hooks; }
 
+  // Runs after every change of the owned arc (activation, deactivation and
+  // each set_range).  Multi-subscriber; the content router wakes lookups
+  // it holds for a key this peer should own but does not yet.  Subscribers
+  // must outlive the store's last activity, as for the ring's hooks.
+  void add_on_range_change(std::function<void()> fn) {
+    on_range_change_.push_back(std::move(fn));
+  }
+
   // Re-homes an item this peer no longer owns (range shrink discovered with
   // items still on board).  Wired by the stack to the index's routed insert,
   // which retries through reorganizations; without it items fall back to a
@@ -375,6 +382,8 @@ class DataStoreNode : public sim::ProtocolComponent {
 
  private:
   void Activate(RingRange range, std::vector<Item> items);
+  // Tells the observer and the range-change subscribers about range_.
+  void NoteRangeChange();
   void HandleInsert(const sim::Message& msg, const DsInsertRequest& req);
   void HandleDelete(const sim::Message& msg, const DsDeleteRequest& req);
   // Acks a mutation once it is replicated (PEPPER) or immediately (naive).
@@ -398,6 +407,7 @@ class DataStoreNode : public sim::ProtocolComponent {
   DataStoreOptions options_;
   ReplicationHooks* replication_ = nullptr;
   RehomeFn rehome_;
+  std::vector<std::function<void()>> on_range_change_;
 
   // Interned metric handles (valid only when options_.metrics != nullptr):
   // these fire on activation and per revived item, where the string-keyed

@@ -10,6 +10,14 @@
 
 namespace pepper::datastore {
 
+namespace {
+
+// Retries of a scan held at the successor STAB gate before it is dropped
+// (2 s at the default retry delay).
+constexpr int kScanSuccRetries = 40;
+
+}  // namespace
+
 ScanEngine::ScanEngine(DataStoreNode* ds)
     : sim::ProtocolComponent(ds->node()), ds_(ds) {
   if (ds_->metrics() != nullptr) {
@@ -88,8 +96,7 @@ void ScanEngine::ProcessHandler(Key lb, Key ub, const std::string& handler_id,
       }
       return;
     }
-    ForwardScan(lb, ub, handler_id, param, hops_left - 1,
-                ds_->options().scan_succ_retries);
+    ForwardScan(lb, ub, handler_id, param, hops_left - 1, kScanSuccRetries);
   });
 }
 

@@ -9,6 +9,8 @@ namespace pepper::index {
 
 namespace {
 constexpr char kRangeQueryHandler[] = "index.rangeQuery";
+// Hops a naive ring-walk scan may take before it is dropped.
+constexpr int kNaiveScanHopBudget = 512;
 }  // namespace
 
 P2PIndex::P2PIndex(ring::RingNode* ring, datastore::DataStoreNode* ds,
@@ -322,7 +324,7 @@ void P2PIndex::KickNaive(uint64_t query_id) {
     scan->lb = span.lo;
     scan->ub = span.hi;
     scan->initiator = id();
-    scan->hops_left = options_.naive_hop_budget;
+    scan->hops_left = kNaiveScanHopBudget;
     if (owner == id()) {
       HandleNaiveScan(sim::Message{}, *scan);
     } else {

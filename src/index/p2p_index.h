@@ -28,7 +28,6 @@ struct IndexOptions {
   sim::SimTime rpc_timeout = 500 * sim::kMillisecond;
   sim::SimTime retry_delay = 200 * sim::kMillisecond;
   int insert_retries = 6;
-  int naive_hop_budget = 512;
   MetricsHub* metrics = nullptr;  // optional, not owned
 };
 

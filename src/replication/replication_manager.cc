@@ -273,7 +273,7 @@ void ReplicationManager::PushNow(std::function<void(bool)> settled) {
     return;
   }
   const int hops = static_cast<int>(options_.replication_factor) - 1;
-  const bool warm = options_.delta_pushes && chain_warm_;
+  const bool warm = chain_warm_;
   // A quiet round: the store has not changed since the last push on this
   // warm chain (every change that moves the mutation epoch moves the content
   // version too), so the delta is provably empty, and the manifest and

@@ -37,11 +37,6 @@ struct ReplicationOptions {
   // times, so slow ring repair cannot outlive the last copies of an arc.
   sim::SimTime group_ttl = 60 * sim::kSecond;
   int dead_owner_ttl_strikes = 32;
-  // Versioned delta replication: a refresh sends only the mutations since
-  // the last push (plus the full-group manifest); holders that cannot apply
-  // the delta (missed a push, or diverged) are repaired with a direct full
-  // snapshot.  false reproduces the snapshot-every-refresh baseline.
-  bool delta_pushes = true;
   // Every push hop is an RPC; a timed-out hop is resent this many times
   // before the drop is recorded in `repl.push_timeouts`.
   int push_retries = 1;
@@ -49,10 +44,6 @@ struct ReplicationOptions {
   // quiet (no ack for > ~3 refresh periods); divergent manifests are
   // repaired with a direct snapshot.  0 derives 8 * refresh_period.
   sim::SimTime anti_entropy_period = 0;
-  // How long a pull-based revive collects answers before reconstructing
-  // from the freshest responder.  0 derives a bound from the network
-  // round-trip and the query's hop budget.
-  sim::SimTime revive_wait = 0;
   // Pull-based revive on range extension.  false reproduces the pre-revive
   // availability gap (a peer whose successor joined less than one refresh
   // ago dies, and the survivors never reconstruct its arc) — kept as a

@@ -56,21 +56,19 @@ void ReviveProtocol::StartRevive(const RingRange& arc, PromoteFn promote) {
   query.hops_left = static_cast<int>(opts.replication_factor) + 2;
   ForwardQuery(query, {});
 
-  sim::SimTime wait = opts.revive_wait;
-  if (wait == 0) {
-    // The query travels hop by hop; answers come straight back.  Budget a
-    // round trip per hop PLUS a full successor-list's worth of rpc_timeouts
-    // per hop: under the failure bursts this protocol exists for, each
-    // forwarder can burn one timeout per dead, not-yet-pruned list entry
-    // before the skip finds a live hop — answers arriving after Finalize
-    // would be silently discarded.
-    const sim::SimTime per_hop =
-        sim()->network().RoundTripBound() +
-        static_cast<sim::SimTime>(
-            repl_->ring()->options().succ_list_length) *
-            opts.rpc_timeout;
-    wait = static_cast<sim::SimTime>(query.hops_left + 2) * per_hop;
-  }
+  // How long to collect answers before reconstructing from the freshest
+  // responder.  The query travels hop by hop; answers come straight back.
+  // Budget a round trip per hop PLUS a full successor-list's worth of
+  // rpc_timeouts per hop: under the failure bursts this protocol exists
+  // for, each forwarder can burn one timeout per dead, not-yet-pruned list
+  // entry before the skip finds a live hop — answers arriving after
+  // Finalize would be silently discarded.
+  const sim::SimTime per_hop =
+      sim()->network().RoundTripBound() +
+      static_cast<sim::SimTime>(repl_->ring()->options().succ_list_length) *
+          opts.rpc_timeout;
+  const sim::SimTime wait =
+      static_cast<sim::SimTime>(query.hops_left + 2) * per_hop;
   After(wait, [this, token]() { Finalize(token); });
 }
 

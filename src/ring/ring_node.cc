@@ -479,11 +479,11 @@ void RingNode::AcceptPred(sim::NodeId sender, Key sender_val,
   pred_id_ = sender;
   pred_val_ = sender_val;
   last_pred_contact_ = now();
-  if ((info != nullptr || changed) && on_pred_changed_) {
+  if (info != nullptr || changed) {
     // Raised before the reply is sent, so the predecessor's getSucc cannot
     // observe this peer before it processed the handoff (the paper's
     // INFOFROMPREDEVENT ordering requirement).
-    on_pred_changed_(sender, sender_val, std::move(info));
+    for (const auto& fn : on_pred_changed_) fn(sender, sender_val, info);
   }
 }
 

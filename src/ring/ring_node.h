@@ -29,8 +29,6 @@ struct RingOptions {
   // (predecessors failed); the operation completes with a timeout status.
   sim::SimTime insert_ack_timeout = 60 * sim::kSecond;
   sim::SimTime leave_ack_timeout = 60 * sim::kSecond;
-  // A joining peer reverts to FREE if the inserter dies before completing.
-  sim::SimTime join_timeout = 120 * sim::kSecond;
   // Predecessor liveness TTL: a predecessor hint older than this may be
   // displaced by a farther claimant (repair after predecessor failure).
   sim::SimTime pred_ttl = 12 * sim::kSecond;
@@ -146,14 +144,16 @@ class RingNode : public sim::ProtocolComponent {
   void set_info_for_succ(InfoForSuccProvider fn) {
     info_for_succ_ = std::move(fn);
   }
-  void set_on_pred_changed(PredChangedFn fn) {
-    on_pred_changed_ = std::move(fn);
-  }
-  // NEWSUCC / successor-failed are multi-subscriber: both the replication
-  // layer (re-push along the repaired chain) and the HRF router (snap the
-  // refresh cadence back to its base period) listen.  Subscribers fire in
-  // registration order; they must outlive the ring's last activity (the
+  // INFOFROMPRED, NEWSUCC and successor-failed are multi-subscriber: the
+  // Data Store and replication layer take the predecessor's data, the
+  // content router re-routes the lookups it holds, the replication layer
+  // re-pushes along a repaired chain and the HRF router snaps its refresh
+  // cadence back to the base period.  Subscribers fire in registration
+  // order; they must outlive the ring's last activity (the
   // ProtocolComponent lifetime contract).
+  void add_on_pred_changed(PredChangedFn fn) {
+    on_pred_changed_.push_back(std::move(fn));
+  }
   void add_on_new_successor(NewSuccessorFn fn) {
     on_new_successor_.push_back(std::move(fn));
   }
@@ -195,7 +195,7 @@ class RingNode : public sim::ProtocolComponent {
 
   JoinDataProvider collect_join_data_;
   InfoForSuccProvider info_for_succ_;
-  PredChangedFn on_pred_changed_;
+  std::vector<PredChangedFn> on_pred_changed_;
   std::vector<NewSuccessorFn> on_new_successor_;
   std::vector<SuccessorFailedFn> on_successor_failed_;
   JoinedFn on_joined_;

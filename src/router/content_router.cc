@@ -1,5 +1,6 @@
 #include "router/content_router.h"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -14,6 +15,14 @@ struct LookupForwardAck : sim::Payload {
   explicit LookupForwardAck(bool refused = false) : refused(refused) {}
   bool refused;
 };
+
+namespace {
+
+// Hops a lookup may take before it is dropped and left to the initiator's
+// retry.  The routing rules never loop, so this only bounds a defect.
+constexpr int kHopBudget = 1024;
+
+}  // namespace
 
 RouterBase::RouterBase(ring::RingNode* ring, datastore::DataStoreNode* ds,
                        RouterOptions options, bool greedy)
@@ -31,6 +40,8 @@ RouterBase::RouterBase(ring::RingNode* ring, datastore::DataStoreNode* ds,
     m_retries_ = c.Intern("router.retries");
     m_budget_exhausted_ = c.Intern("router.hop_budget_exhausted");
     m_dead_end_ = c.Intern("router.fwd_dead_end");
+    m_held_ = c.Intern("router.held");
+    m_handed_back_ = c.Intern("router.handed_back");
     m_hops_ = options_.metrics->LatencyHandle("router.hops");
   }
   On<LookupRequest>(
@@ -41,6 +52,11 @@ RouterBase::RouterBase(ring::RingNode* ring, datastore::DataStoreNode* ds,
       [this](const sim::Message& m, const LookupReply& reply) {
         HandleReply(m, reply);
       });
+  // A held lookup waits for the owner to appear between its forwarder and
+  // this peer: our range growing over it, or a new predecessor owning it.
+  ds_->add_on_range_change([this]() { WakeHeld(); });
+  ring_->add_on_pred_changed(
+      [this](sim::NodeId, Key, sim::PayloadPtr) { WakeHeld(); });
 }
 
 void RouterBase::Lookup(Key key, LookupFn done) {
@@ -68,7 +84,7 @@ void RouterBase::StartAttempt(Key key, uint64_t lookup_id, int retries_left,
   req.key = key;
   req.initiator = id();
   req.hops = 0;
-  req.hops_left = options_.hop_budget;
+  req.hops_left = kHopBudget;
   req.greedy = greedy_;
   RouteOrAnswer(req);
 
@@ -122,7 +138,8 @@ void RouterBase::HandleReply(const sim::Message&, const LookupReply& reply) {
   done(Status::OK(), reply.owner, reply.hops);
 }
 
-void RouterBase::RouteOrAnswer(const LookupRequest& req) {
+void RouterBase::RouteOrAnswer(const LookupRequest& req, sim::NodeId avoid,
+                               sim::SimTime held_since) {
   if (ds_->active() && ds_->range().Contains(req.key)) {
     if (options_.monitor != nullptr) {
       // Owner answer: the lookup is charged to this arc, once, at the hop
@@ -142,12 +159,46 @@ void RouterBase::RouteOrAnswer(const LookupRequest& req) {
     return;
   }
   if (req.hops_left <= 0) {
-    // Budget exhausted (typically a lookup circling a ring whose owner
-    // check transiently fails mid-takeover); the initiator retries.
+    // Budget exhausted: the initiator retries.
     if (options_.metrics != nullptr) {
       options_.metrics->counters().Inc(m_budget_exhausted_);
     }
     TraceMark("router.budget_exhausted", req.key);
+    return;
+  }
+
+  const Key self = ring_->val();
+  const RingRange passed = RingRange::OpenClosed(req.from_val, self);
+  if (req.has_from && ds_->active() && passed.Contains(req.key)) {
+    // Sent here as the key's successor, yet not the owner: the owner lies
+    // in (from_val, self].  Walk back rather than on round the ring.
+    const sim::NodeId pred = ring_->pred_id();
+    const Key pred_val = ring_->pred_val();
+    if (ring_->has_pred() && pred != id() && pred != avoid &&
+        pred_val != self && passed.Contains(pred_val) &&
+        RingRange::OpenClosed(req.from_val, pred_val).Contains(req.key)) {
+      if (options_.metrics != nullptr) {
+        options_.metrics->counters().Inc(m_handed_back_);
+      }
+      TraceMark("router.handed_back", req.key);
+      auto back = std::make_shared<LookupRequest>(req);
+      back->hops = req.hops + 1;
+      back->hops_left = req.hops_left - 1;
+      // A predecessor that refuses or does not ack is not asked again for
+      // this lookup; it is re-checked here and held.
+      Call(
+          pred, back,
+          [this, req, pred, held_since](const sim::Message& m) {
+            const auto& ack = static_cast<const LookupForwardAck&>(*m.payload);
+            if (ack.refused) RouteOrAnswer(req, pred, held_since);
+          },
+          4 * ring_->options().ping_timeout,
+          [this, req, pred, held_since]() {
+            RouteOrAnswer(req, pred, held_since);
+          });
+      return;
+    }
+    Hold(req, avoid, held_since);
     return;
   }
 
@@ -166,15 +217,45 @@ void RouterBase::RouteOrAnswer(const LookupRequest& req) {
     next = succ->id;
   }
 
-  auto fwd = std::make_shared<LookupRequest>();
-  *fwd = req;
+  auto fwd = std::make_shared<LookupRequest>(req);
   fwd->hops = req.hops + 1;
   fwd->hops_left = req.hops_left - 1;
+  fwd->has_from = true;
+  fwd->from_val = self;
 
   // Acknowledged forwarding: if the chosen hop is dead, fall back to the
   // ring successor, re-consulting the ring once more after that (the chain
   // repairs between consults) before the lookup is allowed to dead-end.
   ForwardLookup(std::move(fwd), next, /*ring_consults_left=*/2);
+}
+
+void RouterBase::Hold(const LookupRequest& req, sim::NodeId avoid,
+                      sim::SimTime held_since) {
+  const sim::SimTime t = now();
+  const auto expired = [this, t](const HeldLookup& h) {
+    return t - h.since >= options_.lookup_timeout;
+  };
+  held_.erase(std::remove_if(held_.begin(), held_.end(), expired),
+              held_.end());
+  if (held_since == kNotHeld) {
+    held_since = t;
+    if (options_.metrics != nullptr) {
+      options_.metrics->counters().Inc(m_held_);
+    }
+    TraceMark("router.held", req.key);
+  }
+  HeldLookup h{req, avoid, held_since};
+  if (!expired(h)) held_.push_back(std::move(h));
+}
+
+void RouterBase::WakeHeld() {
+  if (held_.empty()) return;
+  std::vector<HeldLookup> batch;
+  batch.swap(held_);
+  for (const HeldLookup& h : batch) {
+    if (now() - h.since >= options_.lookup_timeout) continue;
+    RouteOrAnswer(h.req, h.avoid, h.since);
+  }
 }
 
 void RouterBase::ForwardLookup(std::shared_ptr<LookupRequest> fwd,

@@ -42,6 +42,11 @@ struct LookupRequest : sim::Payload {
   int hops = 0;       // hops taken so far
   int hops_left = 0;  // budget
   bool greedy = true;  // false: pure successor walk (LinearRouter)
+  // Ring value of the peer that forwarded the lookup (unset on the
+  // initiator's own first check).  A receiver whose arc (from_val, val]
+  // holds the key has been passed the key: see RouterBase::RouteOrAnswer.
+  bool has_from = false;
+  Key from_val = 0;
 };
 
 struct LookupReply : sim::Payload {
@@ -53,7 +58,6 @@ struct LookupReply : sim::Payload {
 struct RouterOptions {
   sim::SimTime lookup_timeout = 5 * sim::kSecond;
   int max_retries = 3;
-  int hop_budget = 1024;
   MetricsHub* metrics = nullptr;  // optional, not owned
   // Windowed load attribution (optional, not owned): lookups answered by
   // this peer as the owner are charged to its arc.
@@ -62,6 +66,16 @@ struct RouterOptions {
 
 // Base with the shared request/reply plumbing; subclasses choose the next
 // hop.
+//
+// A lookup never passes its key twice.  Each forwarded request carries the
+// forwarder's ring value, so a receiver whose arc (from_val, val] holds the
+// key knows it was sent as the key's successor.  If it does not own the
+// key, the owner can only lie between the forwarder and itself: it hands
+// the lookup back to its predecessor when that peer lies in between (the
+// forwarder's successor list skipped it), and otherwise holds the lookup
+// until its range or its predecessor changes (its range has not yet grown
+// over a dead predecessor's arc).  Forwarding it on round the ring instead
+// would circle until the hop budget ran out.
 class RouterBase : public sim::ProtocolComponent, public ContentRouter {
  public:
   RouterBase(ring::RingNode* ring, datastore::DataStoreNode* ds,
@@ -87,7 +101,17 @@ class RouterBase : public sim::ProtocolComponent, public ContentRouter {
                     LookupFn done, const trace::OpToken& op);
   void HandleRequest(const sim::Message& msg, const LookupRequest& req);
   void HandleReply(const sim::Message& msg, const LookupReply& reply);
-  void RouteOrAnswer(const LookupRequest& req);
+  // Answers, forwards, hands back or holds the lookup.  `avoid` is a
+  // predecessor whose hand-back already failed for this request, and
+  // `held_since` the instant the lookup was first held here.
+  void RouteOrAnswer(const LookupRequest& req,
+                     sim::NodeId avoid = sim::kNullNode,
+                     sim::SimTime held_since = kNotHeld);
+  void Hold(const LookupRequest& req, sim::NodeId avoid,
+            sim::SimTime held_since);
+  // Re-routes every held lookup; runs on each change of the owned range
+  // and of the ring predecessor.
+  void WakeHeld();
   // Acked forwarding with ring fallback: if `next` never acks, or refuses
   // because it is no longer a ring member, re-consult the ring up to
   // `ring_consults_left` times (the successor chain repairs itself between
@@ -99,8 +123,18 @@ class RouterBase : public sim::ProtocolComponent, public ContentRouter {
   void ForwardFallback(std::shared_ptr<LookupRequest> fwd, sim::NodeId next,
                        int ring_consults_left);
 
+  static constexpr sim::SimTime kNotHeld = ~sim::SimTime{0};
+
   bool greedy_;
   uint64_t next_lookup_id_;
+  struct HeldLookup {
+    LookupRequest req;
+    sim::NodeId avoid;
+    sim::SimTime since;
+  };
+  // A lookup held longer than lookup_timeout is dropped: its initiator has
+  // retried by then.
+  std::vector<HeldLookup> held_;
   struct PendingLookup {
     LookupFn done;
     // Trace span covering the whole lookup (all attempts); carried across
@@ -117,6 +151,8 @@ class RouterBase : public sim::ProtocolComponent, public ContentRouter {
   Counters::Id m_retries_ = 0;
   Counters::Id m_budget_exhausted_ = 0;
   Counters::Id m_dead_end_ = 0;
+  Counters::Id m_held_ = 0;
+  Counters::Id m_handed_back_ = 0;
   Histogram* m_hops_ = nullptr;
 };
 

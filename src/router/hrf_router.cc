@@ -8,6 +8,14 @@
 
 namespace pepper::router {
 
+namespace {
+
+// Height cap of the routing hierarchy: level i spans ~2^i peers, so rings
+// never come near it; it only bounds a refresh pass.
+constexpr size_t kMaxLevels = 48;
+
+}  // namespace
+
 HrfRouter::HrfRouter(ring::RingNode* ring, datastore::DataStoreNode* ds,
                      HrfOptions options)
     : RouterBase(ring, ds, options.base, /*greedy=*/true),
@@ -126,7 +134,7 @@ void HrfRouter::Tick() {
 }
 
 void HrfRouter::ChainStep(size_t level, uint64_t pass_epoch) {
-  if (level >= hrf_options_.max_levels || level > levels_.size()) {
+  if (level >= kMaxLevels || level > levels_.size()) {
     FinishPass(pass_epoch, false);
     return;
   }

@@ -81,7 +81,6 @@ struct HrfOptions {
   RouterOptions base;
   // Base cadence: how often routing levels are rebuilt from the ring.
   sim::SimTime refresh_period = 2 * sim::kSecond;
-  size_t max_levels = 48;
   // Stability-adaptive cadence: the refresh period doubles after every pass
   // that observes no change — same level-0 successor, every returned vector
   // entry identical to the assembled hierarchy — up to this cap.  It snaps

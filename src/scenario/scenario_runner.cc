@@ -65,6 +65,7 @@ RunReport ScenarioRunner::Run(const Scenario& scenario) {
   reported_query_violations_ = 0;
   reported_dead_ends_ = 0;
   reported_attempts_ = 0;
+  reported_exhausted_ = 0;
   reported_health_.clear();
   run_health_.clear();
   phase_spans_.clear();
@@ -280,6 +281,17 @@ void ScenarioRunner::RunProbes(const Scenario& scenario, const Phase& phase,
       os << "router: " << dead_ends << " forwarding dead-end(s) across "
          << attempts << " attempts this round (>2%)";
       out.violations.push_back(os.str());
+    }
+    // A lookup that runs out of hops was circling the ring: routing never
+    // passes a key twice, so any exhaustion is a routing defect.
+    const uint64_t total_exhausted =
+        counters.Get("router.hop_budget_exhausted");
+    const uint64_t exhausted = total_exhausted - reported_exhausted_;
+    reported_exhausted_ = total_exhausted;
+    if (exhausted > 0) {
+      out.violations.push_back("router: " + std::to_string(exhausted) +
+                               " lookup(s) exhausted the hop budget this "
+                               "round");
     }
 
     // --- store: buffer-pool hit rate (scenario-declared) -----------------

@@ -135,9 +135,10 @@ class ScenarioRunner {
   std::set<Key> reported_lost_;
   // Same cumulative->per-phase bookkeeping for Definition 4 query audits.
   size_t reported_query_violations_ = 0;
-  // And for the router dead-end probe (counters are run-cumulative).
+  // And for the router probes (counters are run-cumulative).
   uint64_t reported_dead_ends_ = 0;
   uint64_t reported_attempts_ = 0;
+  uint64_t reported_exhausted_ = 0;
   // Health findings already reported this run, keyed by
   // (kind, peer, streak-ending window): a streak that persists re-fires at
   // each newly closed window, but each window is reported exactly once.

@@ -59,11 +59,10 @@ class EventQueue {
   void PushTimerFire(SimTime at, uint64_t seq, uint32_t timer_idx);
 
   bool Empty() const { return heap_.empty(); }
+  // Time of the earliest event.  A window base needs only this (a lower
+  // bound is enough on the window grid), so the queue exposes no peek at
+  // the record itself.
   SimTime NextTime() const;
-  // Read-only view of the earliest event (undefined when Empty()); the
-  // engine peeks to discard fizzled timer records before using the
-  // head time as a window base.
-  const Event& PeekEvent() const { return pool_[heap_.front().idx]; }
 
   // Pops the earliest event, MOVING it out of the arena (the slot is
   // recycled before return).  The old implementation const_cast the

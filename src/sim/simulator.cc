@@ -272,7 +272,15 @@ void Simulator::ScheduleMessage(SimTime deliver_at, Message msg) {
                                                  std::move(msg));
 }
 
-bool Simulator::Step() { return AdvanceWindow(kNoEvent - 1); }
+bool Simulator::Step() {
+  // Skips the cells that execute nothing: which of those a lower-bound
+  // window base visits depends on the partition's wheel state.
+  const uint64_t before = events_executed();
+  while (AdvanceWindow(kNoEvent - 1)) {
+    if (events_executed() != before) return true;
+  }
+  return false;
+}
 
 void Simulator::RunUntil(SimTime t) {
   while (AdvanceWindow(t)) {
@@ -289,38 +297,14 @@ void Simulator::PushCtrl(SimTime at, uint64_t rank,
 }
 
 SimTime Simulator::ShardPeekNext(ShardCore& sc) {
-  // Exact earliest pending time: drain every wheel slot due at or before
-  // the queue head into the queue first (equality must drain — a slotted
-  // tick can carry an older seq than the queue head).  Slot lower bounds
-  // would depend on cursor position — a partition-dependent value — and
-  // shift window placement across shard counts.
-  for (;;) {
-    while (sc.wheel.HasSlottedTimers()) {
-      const SimTime slot_start = sc.wheel.EarliestSlotStart();
-      if (!sc.queue.Empty() && sc.queue.NextTime() < slot_start) break;
-      sc.wheel.ProcessEarliestSlot(&sc.queue);
-    }
-    if (sc.queue.Empty()) {
-      sc.next_event = kNoEvent;
-      return kNoEvent;
-    }
-    // A canceled timer's record fizzles at pop — but whether it is sitting
-    // in this queue at all (versus already recycled inside its wheel slot)
-    // depends on how far earlier peeks happened to drain the wheel, which
-    // is a function of the local queue head: the one partition-dependent
-    // quantity in the engine.  Using such a record's time as the window
-    // base would shift window boundaries — and with them the shard/control
-    // interleaving — across shard counts, so discard them here and re-look.
-    const Event& head = sc.queue.PeekEvent();
-    if (head.kind == EventKind::kTimerFire &&
-        sc.wheel.timer(head.timer_idx).canceled) {
-      const Event dead = sc.queue.PopEvent();
-      sc.wheel.Free(dead.timer_idx);
-      continue;  // the new head may let more wheel slots drain
-    }
-    sc.next_event = sc.queue.NextTime();
-    return sc.next_event;
+  // A lower bound, not the exact next event: the earliest occupied wheel
+  // slot may hold only later (or canceled) timers.  Window edges sit on the
+  // lookahead grid, so an underestimate only costs an empty window.
+  sc.next_event = sc.queue.Empty() ? kNoEvent : sc.queue.NextTime();
+  if (sc.wheel.HasSlottedTimers()) {
+    sc.next_event = std::min(sc.next_event, sc.wheel.EarliestSlotStart());
   }
+  return sc.next_event;
 }
 
 void Simulator::ExecuteShardTimerFire(ShardCore& sc, uint32_t idx) {
@@ -424,16 +408,17 @@ void Simulator::RunShardWindow(ShardCore& sc, SimTime end) {
 }
 
 bool Simulator::AdvanceWindow(SimTime bound) {
-  // Window base m: the exact global minimum pending time across every
-  // shard and the control heap.  Exactness is what makes the window
-  // sequence — and therefore the whole run — invariant in the shard count.
+  // Window base m: a lower bound on the next pending time across every
+  // shard and the control heap.  The window is the lookahead-grid cell that
+  // contains m, so its edges depend on no event's presence, and a cell
+  // with nothing due runs nothing.
   SimTime m = kNoEvent;
   for (auto& sc : shards_) {
     m = std::min(m, ShardPeekNext(*sc));
   }
   if (!ctrl_heap_.empty()) m = std::min(m, ctrl_heap_.front().at);
   if (m == kNoEvent || m > bound) return false;
-  const SimTime e = std::min(m + lookahead_, bound + 1);
+  const SimTime e = std::min((m / lookahead_ + 1) * lookahead_, bound + 1);
 
   // Run [m, e) on every shard with work in the window, one after another.
   // Anything executed inside sends at latency >= lookahead, landing at

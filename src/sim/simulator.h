@@ -125,13 +125,23 @@ class Network {
 // dense NodeId (id % shards); each core owns a private EventQueue arena,
 // TimerWheel and the per-node RNG streams of its nodes.  The cores advance
 // in lock-step windows bounded by the conservative lookahead
-// L = max(min_latency, 1): every message sent at time t delivers at
-// t + latency >= t + L, so a window [m, e) with m = the exact global minimum
-// next-event time and e = min(m + L, bound+1) can execute core by core —
-// nothing that happens inside the window can affect another node before e.
-// All cores run on the calling thread, one after another inside each
-// window; a cross-core send lands at or after e and is pushed straight into
-// the destination core's queue.  Every event carries a composite seq
+// L = min_latency (at least 1): every message sent at time t delivers at
+// t + latency >= t + L, so a window [m, e) with e - m <= L can execute core
+// by core — nothing that happens inside the window can affect another node
+// before e.  All cores run on the calling thread, one after another inside
+// each window; a cross-core send lands at or after e and is pushed straight
+// into the destination core's queue.
+//
+// Windows are cells of a fixed grid: m is a lower bound on the next pending
+// time (queue heads, earliest occupied wheel slots, the control heap top)
+// and e = min((m / L + 1) * L, bound + 1), with `bound` the RunUntil target.
+// So which window an event runs in depends on its own time alone, never on
+// which other events exist: an event that changes nothing moves no other
+// event, barrier or control decision, and a change that removes only such
+// events replays bit-identically except for the event counts.  A cell with
+// nothing due runs nothing and changes nothing.
+//
+// Every event carries a composite seq
 // ((origin NodeId + 1) << 40 | per-origin counter), so the (time, seq) order
 // — and therefore the entire run — is bit-identical for any shard count,
 // which is what lets a test check partition invariance by replaying one
@@ -188,9 +198,11 @@ class Simulator {
     AfterOnNode(id, 0, std::move(fn));
   }
 
-  // Executes one whole lookahead window (finer steps would expose
-  // mid-window states that differ across shard counts) and returns false
-  // if nothing is scheduled.
+  // Executes whole lookahead windows up to and including the first one
+  // that runs an event or control item (finer steps would expose
+  // mid-window states that differ across shard counts; which empty windows
+  // exist depends on the partition's wheel state).  Returns false if
+  // nothing is scheduled.
   bool Step();
   void RunFor(SimTime duration) { RunUntil(now() + duration); }
   void RunUntil(SimTime t);
@@ -297,17 +309,16 @@ class Simulator {
   }
   uint64_t CtrlRank() { return ctrl_rank_ctr_++; }
   void PushCtrl(SimTime at, uint64_t rank, std::function<void()> fn);
-  // Exact earliest pending event time of one shard (drains due wheel slots
-  // into the queue first — slot lower bounds would depend on cursor state
-  // and break the shard-count invariance of the window placement).
+  // Lower bound on one shard's next pending event: its queue head or its
+  // earliest occupied wheel slot, whichever is earlier.
   SimTime ShardPeekNext(ShardCore& sc);
   // Executes every event with time < end on one shard.
   void RunShardWindow(ShardCore& sc, SimTime end);
   void ExecuteShardNext(ShardCore& sc);
   void ExecuteShardTimerFire(ShardCore& sc, uint32_t idx);
-  // One lock-step window: find m, run [m, e) on each shard in turn, then
-  // run control work at the barrier.  Returns false if nothing is pending
-  // at or before `bound`.
+  // One lock-step window: find m, run the grid cell [m, e) on each shard
+  // in turn, then run control work at the barrier.  Returns false if
+  // nothing is pending at or before `bound`.
   bool AdvanceWindow(SimTime bound);
 
   static constexpr SimTime kNoEvent = ~SimTime{0};

@@ -163,7 +163,7 @@ PeerStack* Cluster::MakeStack() {
   rn->set_info_for_succ([rp](sim::NodeId /*succ*/, Key /*succ_val*/) {
     return rp->MakeSeedForSuccessor();
   });
-  rn->set_on_pred_changed(
+  rn->add_on_pred_changed(
       [dsp, rp](sim::NodeId pred, Key /*pred_val*/, sim::PayloadPtr info) {
         rp->OnInfoFromPred(pred, info);
         dsp->OnPredChanged();

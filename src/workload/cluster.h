@@ -36,8 +36,9 @@ struct ClusterOptions {
   uint64_t seed = 42;
   // Partition cores the nodes are split across.  0 and 1 both mean one
   // core; N > 1 runs N cores one after another on the calling thread inside
-  // each conservative-lookahead window.  Results (CSV, counters, audits)
-  // are bit-identical for every value at a given seed.
+  // each lookahead window (a cell of the simulator's fixed grid).  Results
+  // (CSV, counters, audits) are bit-identical for every value at a given
+  // seed.
   uint32_t shards = 0;
   sim::NetworkOptions net;
   ring::RingOptions ring;
@@ -98,6 +99,9 @@ class Cluster {
   PeerStack* AddFreePeer();
 
   // --- Synchronous drivers (advance simulated time until completion) ------
+  // They poll between Simulator::Step calls, which stop only after a window
+  // that ran something, so where a driver returns — and what the caller
+  // schedules next — does not depend on the shard count.
   Status InsertItem(Key skv, const std::string& data = "",
                     PeerStack* via = nullptr,
                     sim::SimTime deadline = 30 * sim::kSecond);

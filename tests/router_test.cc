@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "cluster_test_util.h"
 #include "workload/cluster.h"
@@ -164,6 +166,58 @@ TEST(RouterTest, LookupsSurviveOwnerFailure) {
   PeerStack* new_owner = c.FindPeer(after.owner);
   ASSERT_NE(new_owner, nullptr);
   EXPECT_TRUE(new_owner->ds->range().Contains(probe));
+}
+
+// While a crashed owner's arc is being taken over, its successor may know
+// its new predecessor before its range has grown over the dead arc, and a
+// forwarder's successor list may still skip a peer.  A lookup sent to the
+// key's successor in either state must wait there or walk back, not go on
+// round the ring.  (Such lookups used to circle: up to 280 hops here, or
+// until the 1 024-hop budget ran out when the state lasted long enough.)
+TEST(RouterTest, LookupsIntoACrashedArcDoNotCircle) {
+  ClusterOptions o = ClusterOptions::FastDefaults();
+  o.seed = 74;
+  Cluster c(o);
+  Populate(c, 150, 23);
+  const Key probe = 500000;
+  LookupResult before = LookupSync(c, c.LiveMembers()[0], probe);
+  ASSERT_TRUE(before.status.ok());
+  PeerStack* owner = c.FindPeer(before.owner);
+  ASSERT_NE(owner, nullptr);
+  const RingRange dead_arc = owner->ds->range();
+  c.FailPeer(owner);
+
+  struct Tally {
+    int issued = 0;
+    int ok = 0;
+    int misrouted = 0;
+    int max_hops = 0;
+  };
+  auto tally = std::make_shared<Tally>();
+  for (int round = 0; round < 40; ++round) {
+    for (PeerStack* via : c.LiveMembers()) {
+      if (via == owner) continue;
+      const Key key = dead_arc.lo() + 1 + static_cast<Key>(round);
+      ++tally->issued;
+      via->router->Lookup(key, [&c, tally, key](const Status& s,
+                                               sim::NodeId found, int hops) {
+        if (!s.ok()) return;
+        ++tally->ok;
+        tally->max_hops = std::max(tally->max_hops, hops);
+        PeerStack* p = c.FindPeer(found);
+        if (p == nullptr || !p->ds->range().Contains(key)) ++tally->misrouted;
+      });
+    }
+    c.RunFor(100 * sim::kMillisecond);
+  }
+  c.RunFor(10 * sim::kSecond);
+  EXPECT_EQ(c.metrics().counters().Get("router.hop_budget_exhausted"), 0u);
+  EXPECT_EQ(tally->ok, tally->issued);
+  EXPECT_EQ(tally->misrouted, 0);
+  // A greedy route plus a short walk back; a lookup that went round the
+  // ring even once would need about twice this.
+  const double n = static_cast<double>(c.LiveMembers().size());
+  EXPECT_LE(tally->max_hops, 2.0 * std::log2(n) + 2.0);
 }
 
 }  // namespace

@@ -213,5 +213,50 @@ TEST(ScenarioProbeTest, DeclaredStoreHitRateFloorFailsTheRun) {
       << report.Text();
 }
 
+// A lookup that runs out of hops was circling the ring, which routing
+// never does, so any exhaustion in a round is a `router:` finding.
+TEST(ScenarioProbeTest, HopBudgetExhaustionFailsTheRun) {
+  Phase poke;
+  poke.name = "poke";
+  poke.duration = 2 * sim::kSecond;
+  poke.on_enter = [](workload::Cluster& cluster, sim::Rng&) {
+    cluster.metrics().counters().Inc("router.hop_budget_exhausted");
+  };
+  const Scenario scenario = ScenarioBuilder("exhausted")
+                                .AddPhase(poke)
+                                .Quiesce(2 * sim::kSecond)
+                                .Build();
+  ScenarioRunner runner(QuickRunner(33));
+  const RunReport report = runner.Run(scenario);
+  EXPECT_FALSE(report.ok);
+  ASSERT_EQ(report.phases.size(), 2u) << report.Text();
+  EXPECT_TRUE(HasFinding(report.phases[0], "router: 1 lookup(s) exhausted"))
+      << report.Text();
+  EXPECT_TRUE(report.phases[1].probes.ok()) << report.Text();
+}
+
+// slow_peer's victim is evicted from successor lists while it still owns
+// its arc, so forwarders skip it.  Its lookups used to go round the ring
+// until the hop budget ran out (172 times at this seed); now they walk
+// back to the victim, and the run is clean.
+TEST(ScenarioProbeTest, SlowPeerLookupsDoNotCircle) {
+  BuiltinParams params;
+  params.scale = 0.5;
+  const auto scenario = MakeBuiltin("slow_peer", params);
+  ASSERT_TRUE(scenario.has_value());
+  RunnerOptions o;
+  o.cluster.seed = 7;
+  o.initial_free_peers = 10;
+  o.seed_items = 40;
+  ScenarioRunner runner(o);
+  const RunReport report = runner.Run(*scenario);
+  EXPECT_TRUE(report.ok) << report.Text();
+  EXPECT_EQ(runner.cluster()->metrics().counters().Get(
+                "router.hop_budget_exhausted"),
+            0u);
+  EXPECT_GT(runner.cluster()->metrics().counters().Get("router.handed_back"),
+            0u);
+}
+
 }  // namespace
 }  // namespace pepper::scenario

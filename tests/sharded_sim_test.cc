@@ -261,8 +261,26 @@ struct ReplayResult {
   std::map<std::string, uint64_t> msgs;  // sim.msgs.<PayloadType> counts
 };
 
+// Puts a do-nothing 7 ms timer on every peer: on those alive now, and on
+// each one that appears later (a control-context sweep every 500 ms).  The
+// timers draw no randomness and touch no protocol state.
+void ArmNoOpTimers(Cluster& cluster,
+                   std::shared_ptr<std::vector<bool>> armed) {
+  for (const auto& p : cluster.peers()) {
+    const sim::NodeId id = p->id();
+    if (armed->size() <= id) armed->resize(id + 1, false);
+    if ((*armed)[id] || !p->ring->alive()) continue;
+    (*armed)[id] = true;
+    p->ring->node()->Every("test.noop", 7 * sim::kMillisecond, [] {},
+                           7 * sim::kMillisecond);
+  }
+  cluster.sim().After(500 * sim::kMillisecond, [&cluster, armed] {
+    ArmNoOpTimers(cluster, armed);
+  });
+}
+
 ReplayResult RunClusterReplay(uint64_t seed, uint32_t shards,
-                              bool trace = false) {
+                              bool trace = false, bool no_op_timers = false) {
   ClusterOptions copts = ClusterOptions::FastDefaults();
   copts.seed = seed;
   copts.shards = shards;
@@ -275,6 +293,9 @@ ReplayResult RunClusterReplay(uint64_t seed, uint32_t shards,
   cluster.Bootstrap(500000);
   for (int i = 0; i < 8; ++i) cluster.AddFreePeer();
   cluster.RunFor(sim::kSecond);
+  if (no_op_timers) {
+    ArmNoOpTimers(cluster, std::make_shared<std::vector<bool>>());
+  }
 
   WorkloadOptions w;
   w.insert_rate_per_sec = 200.0;
@@ -307,6 +328,10 @@ ReplayResult RunClusterReplay(uint64_t seed, uint32_t shards,
     r.trace = cluster.sim().tracer().DumpText();
   }
   EXPECT_EQ(driver.query_violations(), 0u)
+      << "seed " << seed << " shards " << shards;
+  // Routing never passes a key twice, so no lookup may circle the ring.
+  EXPECT_EQ(cluster.metrics().counters().Get("router.hop_budget_exhausted"),
+            0u)
       << "seed " << seed << " shards " << shards;
   return r;
 }
@@ -397,6 +422,26 @@ TEST(ShardedSimTest, TraceOutputIsIdenticalAcrossShardCounts) {
     EXPECT_TRUE(other.trace == one.trace)
         << "trace diverged at shards=" << shards << " (" << other.trace.size()
         << " vs " << one.trace.size() << " bytes)";
+  }
+}
+
+// Window edges sit on the lookahead grid, so an event that changes nothing
+// moves nothing else: with a do-nothing timer on every peer, the metrics
+// report and the trace are byte-identical to the plain run.  (A window
+// based on the exact next event would shift every later barrier, and with
+// it the control work run there.)
+TEST(ShardedSimTest, NoOpEventsReplayInvisibly) {
+  for (uint64_t seed : {42ull, 7ull, 1234ull}) {
+    const ReplayResult plain = RunClusterReplay(seed, 1, /*trace=*/true);
+    const ReplayResult no_op =
+        RunClusterReplay(seed, 1, /*trace=*/true, /*no_op_timers=*/true);
+    EXPECT_GT(no_op.events, plain.events) << "seed " << seed;
+    EXPECT_GT(no_op.fires.count("sim.fires.test.noop"), 0u) << "seed " << seed;
+    EXPECT_EQ(no_op.report, plain.report) << "seed " << seed;
+    EXPECT_EQ(no_op.messages, plain.messages) << "seed " << seed;
+    EXPECT_TRUE(no_op.trace == plain.trace)
+        << "trace diverged at seed " << seed << " (" << no_op.trace.size()
+        << " vs " << plain.trace.size() << " bytes)";
   }
 }
 

@@ -2,6 +2,7 @@
 """Check that two pepper_bench builds replay the same schedule.
 
 Usage: replay_diff.py PARENT_BIN CHANGE_BIN [--seeds 100 101 200] [--summary]
+                      [--ignore-events]
 
 Runs every workload BENCHMARK.json declares at each sub-run seed with
 both binaries, drops the host-time block ("host") from each run's JSON
@@ -14,6 +15,17 @@ in one command.
 --summary also prints, under each differing pair, every differing
 numeric field as parent -> change with its relative delta, so the size
 of a deliberate rebaseline shows in the same command.
+
+--ignore-events is the proof for a change that only removes (or adds)
+events that change nothing.  Lookahead windows end on a fixed grid, so
+such a change moves no other field; the mode drops the two that count
+events, layers.sim.events and digest.  The digest also hashes the
+operation log and every MetricsHub counter, so that coverage then comes
+from the per-phase CSVs scenario_runner writes (--csv=FILE), diffed with
+their sim.events and sim.fires.* rows removed:
+
+    diff <(grep -Ev '^[^,]*,sim\.(events|fires\.)' PARENT.csv) \
+         <(grep -Ev '^[^,]*,sim\.(events|fires\.)' CHANGE.csv)
 """
 
 import argparse
@@ -24,9 +36,11 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SUBRUN_TIMEOUT_S = 300
+# Fields that count executed events; --ignore-events drops them.
+EVENT_FIELDS = (("layers", "sim.events"), ("digest",))
 
 
-def run(binary, workload, seed):
+def run(binary, workload, seed, ignore_events=False):
     cmd = [binary, "--workload=" + workload, "--seed=%d" % seed,
            "--scale=1.0"]
     proc = subprocess.run(cmd, capture_output=True, text=True,
@@ -37,6 +51,9 @@ def run(binary, workload, seed):
             " ".join(cmd), proc.returncode, proc.stderr.strip()))
     result = json.loads(lines[-1])
     result.pop("host", None)
+    if ignore_events:
+        for path in EVENT_FIELDS:
+            lookup(result, path[:-1]).pop(path[-1], None)
     return result
 
 
@@ -85,7 +102,15 @@ def main():
     p.add_argument("--seeds", type=int, nargs="+", default=[100, 101, 200])
     p.add_argument("--summary", action="store_true",
                    help="print parent -> change for each differing scalar")
+    p.add_argument("--ignore-events", action="store_true",
+                   help="drop layers.sim.events and digest; the docstring says "
+                        "what then covers the digest")
     args = p.parse_args()
+    if args.ignore_events:
+        print("replay_diff: ignoring %s; the digest's counter and op-log "
+              "coverage must come from diffing scenario_runner's per-phase "
+              "CSVs without their sim.events and sim.fires.* rows" %
+              " and ".join(".".join(path) for path in EVENT_FIELDS))
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         workloads = [w["name"] for w in json.load(f)["workloads"]]
@@ -93,8 +118,8 @@ def main():
     failed = 0
     for workload in workloads:
         for seed in args.seeds:
-            parent = run(args.parent_bin, workload, seed)
-            change = run(args.change_bin, workload, seed)
+            parent = run(args.parent_bin, workload, seed, args.ignore_events)
+            change = run(args.change_bin, workload, seed, args.ignore_events)
             diff = differences(parent, change)
             label = "%s seed %d" % (workload, seed)
             if diff:
