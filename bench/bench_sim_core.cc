@@ -1,6 +1,6 @@
 // bench_sim_core: throughput of the simulator's allocation-free hot paths —
 // pooled closure events, by-value message sends (fixed-latency mode, no
-// per-message RNG draw), timer-wheel fires, and timer arm/cancel churn —
+// per-message RNG draw), timer-heap fires, and timer arm/cancel churn —
 // plus the process peak RSS.
 //
 //   bench_sim_core [--quick] [--json=FILE]

@@ -27,7 +27,7 @@ namespace pepper::bench {
 struct SimCoreMicroResults {
   double events_per_sec = 0.0;       // closure events through the arena
   double sends_per_sec = 0.0;        // Network::Send + delivery, fixed latency
-  double timer_fires_per_sec = 0.0;  // wheel tick throughput
+  double timer_fires_per_sec = 0.0;  // timer-heap tick throughput
   double timer_arm_cancel_per_sec = 0.0;  // arm+cancel churn
   uint64_t peak_rss_kb = 0;          // getrusage high-water mark
 };
@@ -119,13 +119,14 @@ inline double MeasureSendThroughput(uint64_t total, int pairs = 8) {
 }
 
 // Timer fires/sec: `timers` periodic timers with staggered phases, run
-// until `total` ticks executed.  Exercises wheel cascade/inject/rearm.
+// until `total` ticks executed.  Exercises the timer heap's fire and
+// in-place re-key (one sift-down over `timers` entries per tick).
 inline double MeasureTimerThroughput(uint64_t total, int timers = 4096) {
   sim::Simulator sim(1);
   sim::Node node(&sim);
   uint64_t fired = 0;
   for (int i = 0; i < timers; ++i) {
-    // Periods spread across wheel levels, phases de-synchronized.
+    // Periods spread over 1-4.6 ms, phases de-synchronized.
     const sim::SimTime period = 1000 + 37 * (i % 97);
     node.Every("bench.tick", period, [&fired] { ++fired; }, 1 + i % 1009);
   }
@@ -136,8 +137,8 @@ inline double MeasureTimerThroughput(uint64_t total, int timers = 4096) {
   return secs > 0 ? static_cast<double>(fired) / secs : 0.0;
 }
 
-// Arm+cancel pairs/sec: the O(1) churn path (a canceled record is lazily
-// recycled, so this also measures free-list pressure).
+// Arm+cancel pairs/sec: the churn path (a cancel unlinks the entry and
+// recycles the record at once, so this also measures free-list reuse).
 inline double MeasureArmCancelThroughput(uint64_t pairs) {
   sim::Simulator sim(1);
   sim::Node node(&sim);
@@ -146,9 +147,9 @@ inline double MeasureArmCancelThroughput(uint64_t pairs) {
     const uint64_t id =
         node.Every("bench.tick", 1000 + (i % 64) * 64, [] {}, 500);
     node.CancelTimer(id);
-    if ((i & 1023) == 0) sim.RunFor(1);  // let slots recycle now and then
+    if ((i & 1023) == 0) sim.RunFor(1);  // advance the clock now and then
   }
-  sim.RunFor(100 * sim::kMillisecond);  // drain remaining canceled records
+  sim.RunFor(100 * sim::kMillisecond);  // run out the simulation
   const double secs = detail::SecondsSince(start);
   return secs > 0 ? static_cast<double>(pairs) / secs : 0.0;
 }

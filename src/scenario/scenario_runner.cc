@@ -108,6 +108,7 @@ RunReport ScenarioRunner::Run(const Scenario& scenario) {
 
     const uint64_t msgs_before = cluster.sim().network().messages_sent();
     const uint64_t events_before = cluster.sim().events_executed();
+    const uint64_t windows_before = cluster.sim().windows_executed();
     std::map<std::string, uint64_t> sim_counters_before;
     for (const auto& [name, v] : cluster.sim().counters().Snapshot()) {
       sim_counters_before[name] = v;
@@ -152,6 +153,16 @@ RunReport ScenarioRunner::Run(const Scenario& scenario) {
           "perf.events_per_sec",
           static_cast<uint64_t>(static_cast<double>(phase_events) /
                                 wall_seconds));
+      // The engine's own behaviour: lookahead windows run, and executed
+      // events per thousand windows.  Deterministic, but they describe the
+      // engine rather than the protocol, so they ride with the perf rows.
+      const uint64_t windows =
+          cluster.sim().windows_executed() - windows_before;
+      cluster.metrics().counters().Inc("perf.windows", windows);
+      if (windows > 0) {
+        cluster.metrics().counters().Inc("perf.events_per_1k_windows",
+                                         1000 * phase_events / windows);
+      }
     }
     registry.EndPhase(sim::ToSeconds(phase.duration));
     cluster.pool().set_suspended(false);

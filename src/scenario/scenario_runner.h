@@ -36,7 +36,8 @@ struct RunnerOptions {
   // scenario.  Either way any finding fails the run.
   bool fatal_probes = false;
   // Record per-phase wall-clock and fold `perf.wall_us` /
-  // `perf.events_per_sec` counters into the phase metrics (they appear in
+  // `perf.events_per_sec` counters, plus the engine's `perf.windows` and
+  // `perf.events_per_1k_windows`, into the phase metrics (they appear in
   // the text and CSV dumps).  OFF by default: wall-clock is
   // non-deterministic, and with timing off the CSV dump stays bit-identical
   // across same-seed runs — the replay contract the determinism tests pin.

@@ -1,7 +1,5 @@
 #include "sim/event_queue.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace pepper::sim {
@@ -18,14 +16,8 @@ Event& EventQueue::Allocate(SimTime at, uint64_t seq) {
   Event& ev = pool_[idx];
   ev.at = at;
   ev.seq = seq;
-  HeapPush(HeapEntry{at, seq, idx});
+  heap_.Push(HeapEntry{at, seq, idx});
   return ev;
-}
-
-void EventQueue::PushTimerFire(SimTime at, uint64_t seq, uint32_t timer_idx) {
-  Event& ev = Allocate(at, seq);
-  ev.kind = EventKind::kTimerFire;
-  ev.timer_idx = timer_idx;
 }
 
 void EventQueue::PushClosureSeq(SimTime at, uint64_t seq, NodeId origin,
@@ -50,13 +42,9 @@ void EventQueue::PushMessageSeq(SimTime at, uint64_t seq, Message msg) {
   ev.msg = std::move(msg);
 }
 
-SimTime EventQueue::NextTime() const {
-  PEPPER_CHECK(!heap_.empty());
-  return heap_[0].at;
-}
-
 Event EventQueue::PopEvent() {
-  const HeapEntry top = HeapPop();
+  PEPPER_CHECK(!heap_.empty());
+  const HeapEntry top = heap_.Pop();
   Event out = std::move(pool_[top.idx]);
   Event& slot = pool_[top.idx];
   slot.kind = EventKind::kFree;
@@ -69,40 +57,33 @@ Event EventQueue::PopEvent() {
   return out;
 }
 
-void EventQueue::HeapPush(HeapEntry e) {
-  heap_.push_back(e);
-  size_t i = heap_.size() - 1;
-  while (i > 0) {
-    const size_t parent = (i - 1) >> 2;
-    if (!Earlier(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
+uint32_t TimerHeap::Arm(SimTime at, uint64_t seq, Timer timer) {
+  uint32_t idx;
+  if (!free_.empty()) {
+    idx = free_.back();
+    free_.pop_back();
+    pool_[idx] = std::move(timer);
+  } else {
+    idx = static_cast<uint32_t>(pool_.size());
+    pool_.push_back(std::move(timer));
   }
+  heap_.Push(HeapEntry{at, seq, idx});
+  return idx;
 }
 
-EventQueue::HeapEntry EventQueue::HeapPop() {
-  PEPPER_CHECK(!heap_.empty());
-  const HeapEntry top = heap_[0];
-  const HeapEntry last = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    const size_t n = heap_.size();
-    size_t i = 0;
-    for (;;) {
-      const size_t first_child = 4 * i + 1;
-      if (first_child >= n) break;
-      size_t best = first_child;
-      const size_t end = std::min(first_child + 4, n);
-      for (size_t c = first_child + 1; c < end; ++c) {
-        if (Earlier(heap_[c], heap_[best])) best = c;
-      }
-      if (!Earlier(heap_[best], last)) break;
-      heap_[i] = heap_[best];
-      i = best;
-    }
-    heap_[i] = last;
+void TimerHeap::Cancel(uint32_t idx) {
+  if (idx == firing_) {
+    firing_canceled_ = true;
+    return;
   }
-  return top;
+  PEPPER_CHECK(heap_.Contains(idx));
+  Free(idx);
+}
+
+void TimerHeap::Free(uint32_t idx) {
+  heap_.Remove(idx);
+  pool_[idx].fn = nullptr;  // release the closure now, not at reuse
+  free_.push_back(idx);
 }
 
 }  // namespace pepper::sim

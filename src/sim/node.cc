@@ -10,7 +10,7 @@ namespace pepper::sim {
 Node::Node(Simulator* sim) : sim_(sim), id_(sim->Register(this)) {}
 
 Node::~Node() {
-  // Wheel records would otherwise linger until their (possibly far) expiry.
+  // Armed timers would otherwise fire into a destroyed node.
   CancelPendingRpcTimers();
   CancelAllTimers();
   sim_->Unregister(id_);
@@ -138,11 +138,10 @@ void Node::After(SimTime delay, std::function<void()> fn) {
 
 uint64_t Node::Every(const char* label, SimTime period,
                      std::function<void()> fn, SimTime initial_delay) {
-  PEPPER_CHECK(period > 0);  // period 0 marks one-shot wheel records
-  // A timer armed after failure would map a wheel record the already-ran
-  // CancelAllTimers never sees; when it fizzles and its slot is recycled,
-  // this node's destructor would cancel whoever reused the slot.  The old
-  // core's post-fail ticks merely fizzled — keep that harmlessness.
+  PEPPER_CHECK(period > 0);  // period 0 marks one-shot timer records
+  // A timer armed after failure would map a timer record the already-ran
+  // CancelAllTimers never sees; when it fizzles and its record is recycled,
+  // this node's destructor would cancel whoever reused the record.
   if (!alive_) return next_timer_id_++;  // never fires, cancel is a no-op
   const uint64_t timer_id = next_timer_id_++;
   const uint32_t idx = sim_->ArmTimer(id_, sim_->now() + initial_delay,
@@ -155,20 +154,20 @@ uint64_t Node::Every(const char* label, SimTime period,
 void Node::CancelTimer(uint64_t timer_id) {
   auto it = active_timers_.find(timer_id);
   if (it == active_timers_.end()) return;
-  sim_->CancelWheelTimer(id_, it->second);
+  sim_->CancelTimer(id_, it->second);
   active_timers_.erase(it);
 }
 
 void Node::CancelAllTimers() {
   for (const auto& entry : active_timers_) {
-    sim_->CancelWheelTimer(id_, entry.second);
+    sim_->CancelTimer(id_, entry.second);
   }
   active_timers_.clear();
 }
 
 void Node::CancelPendingRpcTimers() {
   for (const PendingCall& call : pending_) {
-    sim_->CancelWheelTimer(id_, call.timeout_timer);
+    sim_->CancelTimer(id_, call.timeout_timer);
   }
 }
 
@@ -187,7 +186,7 @@ void Node::Deliver(const Message& msg) {
   if (msg.is_response) {
     PendingCall* call = FindPending(msg.rpc_id);
     if (call == nullptr) return;  // late reply after timeout: ignore
-    sim_->CancelWheelTimer(id_, call->timeout_timer);
+    sim_->CancelTimer(id_, call->timeout_timer);
     ReplyFn cb = std::move(call->on_reply);
     ErasePending(call);
     if (cb) cb(msg);

@@ -62,8 +62,8 @@ class Node {
   void After(SimTime delay, std::function<void()> fn);
 
   // Periodic timer with a deterministic id; stops on failure or cancel.
-  // Backed by the simulator's TimerWheel: the callback is allocated once
-  // here and reused for every tick, and arm/cancel/rearm are O(1).  The
+  // Backed by the simulator's per-core TimerHeap: the callback is allocated
+  // once here and reused for every tick.  The
   // short `label` (a string literal, e.g. "ring.stab"; the simulator
   // interns it by address) names the timer in the simulator's per-label
   // fire counts, `sim.fires.<label>`.
@@ -88,10 +88,9 @@ class Node {
   uint64_t next_rpc_id_ = 1;
   struct PendingCall {
     uint64_t rpc_id;
-    // One-shot TimerWheel record for the timeout.  Canceled O(1) when the
-    // reply arrives, so the common completed-RPC case never pushes a
-    // far-future event through the heap at all (the old queue-resident
-    // timeout closure sat deep in the heap and fizzled at pop time).
+    // One-shot timer record for the timeout, unlinked from the timer heap
+    // when the reply arrives, so a completed RPC leaves nothing behind to
+    // fizzle.
     uint32_t timeout_timer;
     // Callee, so a fired timeout can be charged to the peer that failed to
     // answer (telemetry health signal).  Lives here, not in the timeout
@@ -104,7 +103,7 @@ class Node {
   PendingCall* FindPending(uint64_t rpc_id);
   void ErasePending(PendingCall* call);
   void CancelPendingRpcTimers();
-  // Body of the RPC-timeout wheel closure (shared by the traced and
+  // Body of the RPC-timeout closure (shared by the traced and
   // untraced capture shapes — the untraced one must stay within the
   // std::function small-buffer size).
   void RpcTimeoutFire(uint64_t rpc_id);
@@ -113,8 +112,8 @@ class Node {
   std::vector<PendingCall> pending_;
   std::vector<std::function<void(const Message&)>> handlers_;  // by type id
   uint64_t next_timer_id_ = 1;
-  // timer id -> TimerWheel record.  Erasing an entry (cancel / fail /
-  // destruction) lazy-cancels the wheel record; its pending tick fizzles.
+  // timer id -> timer record.  Erasing an entry (cancel / fail /
+  // destruction) cancels the record, which leaves the timer heap at once.
   std::unordered_map<uint64_t, uint32_t> active_timers_;
 };
 

@@ -147,21 +147,13 @@ void Simulator::After(SimTime delay, std::function<void()> fn) {
   ShardCore* sc = exec_shard_;
   if (sc != nullptr) {
     // Node context: stays on the executing node's core, attributed to that
-    // node for seq purposes.  Far-future one-shots (workload arrivals, slow
-    // retries) park in the core's wheel so the heap stays shallow for the
-    // near-future message traffic.
-    if (delay >= kFarFuture) {
-      sc->wheel.Arm(sc->exec_node, sc->now + delay, /*period=*/0,
-                    std::move(fn), &sc->queue, SeqOf(sc->exec_node),
-                    /*has_guard=*/false);
-      return;
-    }
+    // node for seq purposes.
     sc->queue.PushClosureSeq(sc->now + delay, SeqOf(sc->exec_node),
                              sc->exec_node, std::move(fn));
     return;
   }
   // Control context: control closures (workload drivers, scenario probes)
-  // run at barriers; the control heap is shallow, no wheel needed.
+  // run at barriers.
   PushCtrl(now_ + delay, CtrlRank(), std::move(fn));
 }
 
@@ -188,11 +180,6 @@ void Simulator::AfterOnNode(NodeId id, SimTime delay,
     // core's node may already have run up to the window edge, so only a
     // message (which lands a lookahead out) may reach it.
     PEPPER_CHECK(ShardOf(id) == sc->index);
-    if (delay >= kFarFuture) {
-      sc->wheel.Arm(id, sc->now + delay, /*period=*/0, std::move(fn),
-                    &sc->queue, SeqOf(sc->exec_node));
-      return;
-    }
     sc->queue.PushNodeClosureSeq(sc->now + delay, SeqOf(sc->exec_node), id,
                                  std::move(fn));
     return;
@@ -203,28 +190,20 @@ void Simulator::AfterOnNode(NodeId id, SimTime delay,
   // already obeys.)
   ShardCore& dst = *shards_[ShardOf(id)];
   const SimTime at = now_ + std::max(delay, lookahead_);
-  if (delay >= kFarFuture) {
-    dst.wheel.Arm(id, at, /*period=*/0, std::move(fn), &dst.queue, SeqOf(id));
-    return;
-  }
   dst.queue.PushNodeClosureSeq(at, SeqOf(id), id, std::move(fn));
 }
 
 uint32_t Simulator::ArmTimer(NodeId id, SimTime expiry, SimTime period,
                              std::function<void()> fn, uint32_t fires) {
+  TimerHeap::Timer timer{id, fires, period, std::move(fn)};
   ShardCore* sc = exec_shard_;
-  uint32_t idx;
   if (sc != nullptr) {
     PEPPER_CHECK(ShardOf(id) == sc->index);
-    idx = sc->wheel.Arm(id, expiry, period, std::move(fn), &sc->queue,
-                        SeqOf(sc->exec_node));
-  } else {
-    sc = shards_[ShardOf(id)].get();
-    const SimTime at = std::max(expiry, now_ + lookahead_);
-    idx = sc->wheel.Arm(id, at, period, std::move(fn), &sc->queue, SeqOf(id));
+    return sc->timers.Arm(expiry, SeqOf(sc->exec_node), std::move(timer));
   }
-  sc->wheel.timer(idx).fires = fires;
-  return idx;
+  // Control context: one lookahead out, as for PostToNode.
+  const SimTime at = std::max(expiry, now_ + lookahead_);
+  return shards_[ShardOf(id)]->timers.Arm(at, SeqOf(id), std::move(timer));
 }
 
 Counters::Id Simulator::FireCounter(const char* label) {
@@ -251,12 +230,12 @@ void Simulator::CountMessage(uint32_t payload_type) {
   counters_.Inc(id);
 }
 
-void Simulator::CancelWheelTimer(NodeId id, uint32_t idx) {
+void Simulator::CancelTimer(NodeId id, uint32_t idx) {
   // Cancels come from the node's own execution or from control-context
   // teardown (Node::Fail, Unregister).
   ShardCore* sc = exec_shard_;
   if (sc != nullptr) PEPPER_CHECK(ShardOf(id) == sc->index);
-  shards_[ShardOf(id)]->wheel.Cancel(idx);
+  shards_[ShardOf(id)]->timers.Cancel(idx);
 }
 
 void Simulator::ScheduleMessage(SimTime deliver_at, Message msg) {
@@ -273,8 +252,8 @@ void Simulator::ScheduleMessage(SimTime deliver_at, Message msg) {
 }
 
 bool Simulator::Step() {
-  // Skips the cells that execute nothing: which of those a lower-bound
-  // window base visits depends on the partition's wheel state.
+  // Skips the windows that execute nothing (every pop fizzled), so a
+  // driver polling between steps sees a state some event changed.
   const uint64_t before = events_executed();
   while (AdvanceWindow(kNoEvent - 1)) {
     if (events_executed() != before) return true;
@@ -297,66 +276,54 @@ void Simulator::PushCtrl(SimTime at, uint64_t rank,
 }
 
 SimTime Simulator::ShardPeekNext(ShardCore& sc) {
-  // A lower bound, not the exact next event: the earliest occupied wheel
-  // slot may hold only later (or canceled) timers.  Window edges sit on the
-  // lookahead grid, so an underestimate only costs an empty window.
-  sc.next_event = sc.queue.Empty() ? kNoEvent : sc.queue.NextTime();
-  if (sc.wheel.HasSlottedTimers()) {
-    sc.next_event = std::min(sc.next_event, sc.wheel.EarliestSlotStart());
+  sc.next_event = sc.queue.Empty() ? kNoEvent : sc.queue.Top().at;
+  if (!sc.timers.Empty()) {
+    sc.next_event = std::min(sc.next_event, sc.timers.Top().at);
   }
   return sc.next_event;
 }
 
-void Simulator::ExecuteShardTimerFire(ShardCore& sc, uint32_t idx) {
+void Simulator::FireShardTimer(ShardCore& sc) {
+  const HeapEntry top = sc.timers.Top();
+  const uint32_t idx = top.idx;
+  sc.now = std::max(sc.now, top.at);
   {
-    TimerWheel::Timer& t = sc.wheel.timer(idx);
-    if (t.canceled) {
-      sc.wheel.Free(idx);
-      return;
-    }
-    if (!t.has_guard) {
-      sc.exec_node = t.node;  // origin attribution (never kNullNode here)
-      ++sc.events;
-      BeginEventContext(sc.now, t.node);
-      std::function<void()> fn = std::move(t.fn);
-      fn();
-      sc.wheel.Free(idx);
-      return;
-    }
-    Node* n = node(t.node);
-    if (n == nullptr || !n->alive()) {
-      sc.wheel.Free(idx);
+    TimerHeap::Timer& t = sc.timers.timer(idx);
+    // Node::Fail and teardown cancel a node's timers, so the guard only
+    // keeps the engine's own promise: nothing runs for a dead node.
+    if (!IsAlive(t.node)) {
+      sc.timers.Free(idx);
       return;
     }
     sc.exec_node = t.node;
     ++sc.events;
-    if (t.period != 0) {
+    if (t.period != 0) {  // periodic timers always carry a label
       ++sc.timer_fires;
-      if (t.fires != TimerWheel::kNil) counters_.Inc(t.fires);
+      counters_.Inc(t.fires);
     }
     BeginEventContext(sc.now, t.node);
   }
-  std::function<void()> fn = std::move(sc.wheel.timer(idx).fn);
+  // The closure runs moved out of its record: arming timers inside it may
+  // grow the record pool.
+  std::function<void()> fn = std::move(sc.timers.timer(idx).fn);
+  sc.timers.StartFire(idx);
   fn();
-  TimerWheel::Timer& t = sc.wheel.timer(idx);
-  Node* n = node(t.node);
-  if (t.period == 0 || t.canceled || n == nullptr || !n->alive()) {
-    sc.wheel.Free(idx);
-    return;
+  const bool armed = sc.timers.FinishFire();
+  TimerHeap::Timer& t = sc.timers.timer(idx);
+  if (!armed || t.period == 0) {
+    sc.timers.Free(idx);
+  } else {
+    t.fn = std::move(fn);
+    sc.timers.Rearm(idx, sc.now + t.period, SeqOf(t.node));
   }
-  t.fn = std::move(fn);
-  sc.wheel.Rearm(idx, sc.now + t.period, &sc.queue, SeqOf(t.node));
+  sc.exec_node = kNullNode;
 }
 
 void Simulator::ExecuteShardNext(ShardCore& sc) {
   Event ev = sc.queue.PopEvent();
   sc.now = std::max(sc.now, ev.at);
-  // Only events whose action runs are counted.  Fizzled pops (canceled
-  // timers, guard drops) depend on how far the wheel happened to be drained
-  // into the queue at cancel time — a function of the local queue head, the
-  // one partition-dependent quantity in the engine — so counting them would
-  // make `sim.events` vary with the shard count while every
-  // protocol-visible number stays identical.
+  // Only events whose action runs are counted; fizzled pops (guard drops)
+  // are not, like fizzled timer fires.
   switch (ev.kind) {
     case EventKind::kClosure:
       sc.exec_node = ev.node;  // origin attribution, no guard
@@ -384,9 +351,6 @@ void Simulator::ExecuteShardNext(ShardCore& sc) {
       }
       break;
     }
-    case EventKind::kTimerFire:
-      ExecuteShardTimerFire(sc, ev.timer_idx);
-      break;
     case EventKind::kFree:
       PEPPER_CHECK(false);
       break;
@@ -394,24 +358,28 @@ void Simulator::ExecuteShardNext(ShardCore& sc) {
   sc.exec_node = kNullNode;
 }
 
-void Simulator::RunShardWindow(ShardCore& sc, SimTime end) {
-  for (;;) {
-    while (sc.wheel.HasSlottedTimers()) {
-      const SimTime slot_start = sc.wheel.EarliestSlotStart();
-      if (slot_start >= end) break;  // nothing in the wheel due this window
-      if (!sc.queue.Empty() && sc.queue.NextTime() < slot_start) break;
-      sc.wheel.ProcessEarliestSlot(&sc.queue);
+uint64_t Simulator::RunShardWindow(ShardCore& sc, SimTime end) {
+  // The one merge point of the two heaps: whichever of the queue head and
+  // the timer top is earlier by (time, seq) runs next.
+  uint64_t pops = 0;
+  for (;; ++pops) {
+    const bool timer_next =
+        !sc.timers.Empty() &&
+        (sc.queue.Empty() || Earlier(sc.timers.Top(), sc.queue.Top()));
+    if (timer_next) {
+      if (sc.timers.Top().at >= end) return pops;
+      FireShardTimer(sc);
+    } else {
+      if (sc.queue.Empty() || sc.queue.Top().at >= end) return pops;
+      ExecuteShardNext(sc);
     }
-    if (sc.queue.Empty() || sc.queue.NextTime() >= end) return;
-    ExecuteShardNext(sc);
   }
 }
 
 bool Simulator::AdvanceWindow(SimTime bound) {
-  // Window base m: a lower bound on the next pending time across every
-  // shard and the control heap.  The window is the lookahead-grid cell that
-  // contains m, so its edges depend on no event's presence, and a cell
-  // with nothing due runs nothing.
+  // Window base m: the next pending time across every shard and the
+  // control heap.  The window is the lookahead-grid cell that contains m,
+  // so its edges depend on no event's presence.
   SimTime m = kNoEvent;
   for (auto& sc : shards_) {
     m = std::min(m, ShardPeekNext(*sc));
@@ -424,10 +392,11 @@ bool Simulator::AdvanceWindow(SimTime bound) {
   // Anything executed inside sends at latency >= lookahead, landing at
   // >= e — outside the window — so the order the shards take their turns
   // in cannot change the schedule.
+  uint64_t pops = 0;
   for (auto& sc : shards_) {
     if (sc->next_event >= e) continue;
     exec_shard_ = sc.get();
-    RunShardWindow(*sc, e);
+    pops += RunShardWindow(*sc, e);
   }
   exec_shard_ = nullptr;
 
@@ -441,6 +410,7 @@ bool Simulator::AdvanceWindow(SimTime bound) {
     ctrl_heap_.pop_back();
     now_ = std::max(now_, item.at);
     ++ctrl_events_;
+    ++pops;
     BeginEventContext(now_, kNullNode);
     item.fn();
   }
@@ -451,6 +421,8 @@ bool Simulator::AdvanceWindow(SimTime bound) {
   // Pull the control clock to the window edge so driver loops polling
   // now() against a deadline always terminate.
   now_ = std::max(now_, e - 1);
+  ++windows_;
+  if (pops == 0) ++empty_windows_;
   return true;
 }
 
@@ -488,6 +460,12 @@ bool Simulator::IsAlive(NodeId id) const {
 uint64_t Simulator::events_executed() const {
   uint64_t total = ctrl_events_;
   for (const auto& sc : shards_) total += sc->events;
+  return total;
+}
+
+size_t Simulator::pending_timers() const {
+  size_t total = 0;
+  for (const auto& sc : shards_) total += sc->timers.size();
   return total;
 }
 

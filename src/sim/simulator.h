@@ -11,7 +11,6 @@
 #include "sim/message.h"
 #include "sim/rng.h"
 #include "sim/telemetry_hooks.h"
-#include "sim/timer_wheel.h"
 #include "trace/tracer.h"
 
 namespace pepper::sim {
@@ -115,15 +114,15 @@ class Network {
 // protocol steps is expressed as interleaving of events, exactly the
 // granularity at which the paper's histories are defined.
 //
-// The hot path is allocation-free in steady state: message deliveries and
-// timer ticks are fixed-size records recycled through the EventQueue arena
-// and the TimerWheel pool; only generic At/After closures still engage a
-// std::function.
+// The hot path is allocation-free in steady state: message deliveries are
+// fixed-size records recycled through the EventQueue arena, and a timer's
+// closure is allocated once and reused across its ticks; only generic
+// At/After closures still engage a std::function per event.
 //
 // There is one engine, and its schedule does not depend on how the nodes
 // are partitioned.  Nodes are split across `shards` partition cores by
 // dense NodeId (id % shards); each core owns a private EventQueue arena,
-// TimerWheel and the per-node RNG streams of its nodes.  The cores advance
+// TimerHeap and the per-node RNG streams of its nodes.  The cores advance
 // in lock-step windows bounded by the conservative lookahead
 // L = min_latency (at least 1): every message sent at time t delivers at
 // t + latency >= t + L, so a window [m, e) with e - m <= L can execute core
@@ -132,14 +131,14 @@ class Network {
 // each window; a cross-core send lands at or after e and is pushed straight
 // into the destination core's queue.
 //
-// Windows are cells of a fixed grid: m is a lower bound on the next pending
-// time (queue heads, earliest occupied wheel slots, the control heap top)
-// and e = min((m / L + 1) * L, bound + 1), with `bound` the RunUntil target.
+// Windows are cells of a fixed grid: m is the next pending time (the
+// earliest queue head, timer-heap top or control heap top) and
+// e = min((m / L + 1) * L, bound + 1), with `bound` the RunUntil target.
 // So which window an event runs in depends on its own time alone, never on
 // which other events exist: an event that changes nothing moves no other
 // event, barrier or control decision, and a change that removes only such
-// events replays bit-identically except for the event counts.  A cell with
-// nothing due runs nothing and changes nothing.
+// events replays bit-identically except for the event counts.  Every
+// window pops at least the item at m.
 //
 // Every event carries a composite seq
 // ((origin NodeId + 1) << 40 | per-origin counter), so the (time, seq) order
@@ -160,11 +159,6 @@ class Network {
 //      have executed up to the window edge.
 class Simulator {
  public:
-  // One-shot delays at or beyond this park in the timer wheel instead of
-  // the event heap: the heap stays shallow for near-future message
-  // traffic, and far-future closures cost O(1) until they come due.
-  // Ordering is unaffected — everything merges by (time, seq).
-  static constexpr SimTime kFarFuture = 8 * kMillisecond;
   // Composite-seq split: high bits carry origin+1, low kSeqBits the
   // per-origin counter.  2^40 events per origin is out of reach (whole
   // paper-scale runs execute ~1e8 events).
@@ -200,9 +194,9 @@ class Simulator {
 
   // Executes whole lookahead windows up to and including the first one
   // that runs an event or control item (finer steps would expose
-  // mid-window states that differ across shard counts; which empty windows
-  // exist depends on the partition's wheel state).  Returns false if
-  // nothing is scheduled.
+  // mid-window states that differ across shard counts; a window whose
+  // pops all fizzled — work for failed peers — changes nothing).
+  // Returns false if nothing is scheduled.
   bool Step();
   void RunFor(SimTime duration) { RunUntil(now() + duration); }
   void RunUntil(SimTime t);
@@ -245,9 +239,15 @@ class Simulator {
   // events_executed().  Split by timer label in counters() as
   // `sim.fires.<label>`; like events, fizzled fires are not counted.
   uint64_t timer_fires_executed() const;
+  // Lookahead windows run, and those among them that popped no item (the
+  // window base is exact, so the engine leaves none); both deterministic
+  // for a given seed and any shard count.
+  uint64_t windows_executed() const { return windows_; }
+  uint64_t empty_windows() const { return empty_windows_; }
   // Per-core introspection (bench/event_core tests).
   const EventQueue& shard_queue(uint32_t i) const { return shards_[i]->queue; }
-  const TimerWheel& shard_wheel(uint32_t i) const { return shards_[i]->wheel; }
+  // Armed timers (Node::Every and RPC timeouts) over every core.
+  size_t pending_timers() const;
 
  private:
   friend class Network;
@@ -258,7 +258,7 @@ class Simulator {
   struct ShardCore {
     uint32_t index = 0;
     EventQueue queue;
-    TimerWheel wheel;
+    TimerHeap timers;
     SimTime now = 0;
     SimTime next_event = 0;  // valid during AdvanceWindow only
     uint64_t events = 0;
@@ -286,16 +286,16 @@ class Simulator {
   // Node::After without the old per-call wrapper closure: the alive guard
   // lives in the event record, not a capturing lambda.
   void AfterOnNode(NodeId id, SimTime delay, std::function<void()> fn);
-  // Timer plumbing for Node::Every / CancelTimer.  `fires` is the
+  // Timer plumbing for Node::Every / Call / CancelTimer.  `fires` is the
   // FireCounter of a periodic timer's label (kNil for one-shots).
   uint32_t ArmTimer(NodeId id, SimTime expiry, SimTime period,
                     std::function<void()> fn,
-                    uint32_t fires = TimerWheel::kNil);
+                    uint32_t fires = TimerHeap::kNil);
   // Interns `sim.fires.<label>` in counters(), once per label address.
   Counters::Id FireCounter(const char* label);
   // Counts one sent message as `sim.msgs.<PayloadType>` in counters().
   void CountMessage(uint32_t payload_type);
-  void CancelWheelTimer(NodeId id, uint32_t idx);
+  void CancelTimer(NodeId id, uint32_t idx);
   // Message scheduling for Network::Send (by value, no closure).
   void ScheduleMessage(SimTime deliver_at, Message msg);
   Rng& SlotRng(NodeId id) { return slots_[id].rng; }
@@ -309,13 +309,14 @@ class Simulator {
   }
   uint64_t CtrlRank() { return ctrl_rank_ctr_++; }
   void PushCtrl(SimTime at, uint64_t rank, std::function<void()> fn);
-  // Lower bound on one shard's next pending event: its queue head or its
-  // earliest occupied wheel slot, whichever is earlier.
+  // One shard's next pending time: its queue head or its timer-heap top,
+  // whichever is earlier.
   SimTime ShardPeekNext(ShardCore& sc);
-  // Executes every event with time < end on one shard.
-  void RunShardWindow(ShardCore& sc, SimTime end);
+  // Executes every event and timer with time < end on one shard, in
+  // (time, seq) order; returns how many it popped.
+  uint64_t RunShardWindow(ShardCore& sc, SimTime end);
   void ExecuteShardNext(ShardCore& sc);
-  void ExecuteShardTimerFire(ShardCore& sc, uint32_t idx);
+  void FireShardTimer(ShardCore& sc);
   // One lock-step window: find m, run the grid cell [m, e) on each shard
   // in turn, then run control work at the barrier.  Returns false if
   // nothing is pending at or before `bound`.
@@ -348,6 +349,8 @@ class Simulator {
   std::vector<CtrlItem> ctrl_heap_;  // min-heap on (at, rank)
   uint64_t ctrl_rank_ctr_ = 0;
   uint64_t ctrl_events_ = 0;
+  uint64_t windows_ = 0;
+  uint64_t empty_windows_ = 0;
 };
 
 // Wraps a callback so its body runs in the simulator's control context (see

@@ -1,8 +1,10 @@
 // Tests for the pooled event core: the EventQueue arena + 4-ary index heap
 // (tie-break determinism across slot recycling, move-out pops) and the
-// hierarchical TimerWheel behind Node::Every (exact periodic semantics
-// across wheel levels, O(1) cancel/rearm, cancel-from-inside-tick), plus
-// the flat per-node channel tables and the fixed-latency RNG fast path.
+// per-core timer heap behind Node::Every and Node::Call (exact periodic
+// semantics at any period, cancel that unlinks at once, cancel from inside
+// a tick), plus the flat per-node channel tables and the fixed-latency RNG
+// fast path.  The timer cases keep the suite name of the hierarchical
+// timer wheel the heap replaced; they pin the same timer semantics.
 
 #include <gtest/gtest.h>
 
@@ -100,7 +102,7 @@ class TickRecorder : public Node {
 
 // Runs `fn` on `node`'s execution context and returns the instant it ran,
 // leaving the control clock there.  Timers armed from the control context
-// first fire at least one lookahead out, so the tests that pin exact wheel
+// first fire at least one lookahead out, so the tests that pin exact timer
 // instants arm from the node itself.
 SimTime OnNode(Simulator& sim, Node& node, std::function<void()> fn) {
   SimTime at = 0;
@@ -113,9 +115,10 @@ SimTime OnNode(Simulator& sim, Node& node, std::function<void()> fn) {
 }
 
 TEST(TimerWheelTest, ExactPeriodsAcrossWheelLevels) {
-  // Periods spanning level 0 (< 64us) up to level 3+ (> 64^3 us), armed
-  // with the cursor away from zero.  Every fire must land exactly at
-  // initial + k * period — cascade and slot math introduce no drift.
+  // Periods from tens of microseconds to seconds (they spanned every level
+  // of the old timer wheel, including the 64^3 us boundary), armed with the
+  // clock away from zero.  Every fire must land exactly at
+  // initial + k * period — re-keying introduces no drift.
   Simulator sim(1);
   TickRecorder node(&sim);
   sim.RunFor(777777);
@@ -152,12 +155,9 @@ TEST(TimerWheelTest, ExactPeriodsAcrossWheelLevels) {
 }
 
 TEST(TimerWheelTest, BeyondHorizonDelaysFireExactly) {
-  // Delays past the wheel horizon (64^6 us ~ 19.4h) park in the overflow
-  // list.  Regression: the first implementation clamped them into the
-  // cursor's own top-level slot, which the boundary rule immediately
-  // re-processed — Step() span forever on any After() >= the horizon armed
-  // with the cursor on a top-slot boundary (e.g. time 0).
-  // Armed from node context; the core's wheel cursor is still at 0.
+  // Delays of ~19h and more (past the old timer wheel's horizon, where its
+  // first version spun forever in Step()) fire exactly, for unguarded and
+  // guarded one-shots and for a periodic timer.  Armed from node context.
   Simulator sim(1);
   TickRecorder node(&sim);
   const SimTime horizon = SimTime{1} << 36;
@@ -237,8 +237,8 @@ TEST(TimerWheelTest, CancelThenReArmIsAFreshTimer) {
 }
 
 TEST(TimerWheelTest, TickSurvivesWheelPoolGrowth) {
-  // Arming many timers from inside a tick grows the wheel's record pool;
-  // the executing timer's callback and rearm state must survive the
+  // Arming many timers from inside a tick grows the timer record pool; the
+  // executing timer's callback and rearm state must survive the
   // reallocation (the simulator moves the closure out before running it).
   Simulator sim(3);
   TickRecorder node(&sim);
@@ -263,8 +263,8 @@ TEST(TimerWheelTest, TickSurvivesWheelPoolGrowth) {
 }
 
 TEST(TimerWheelTest, RpcTimeoutRecordsAreCanceledByReplies) {
-  // Completed RPCs cancel their one-shot timeout record O(1); the records
-  // recycle instead of accumulating as live wheel entries.
+  // Completed RPCs cancel their one-shot timeout record; the records
+  // recycle instead of accumulating as pending timers.
   struct Req : Payload {};
   struct Rsp : Payload {};
   Simulator sim(7);
@@ -283,9 +283,37 @@ TEST(TimerWheelTest, RpcTimeoutRecordsAreCanceledByReplies) {
   }
   EXPECT_EQ(replies, 200);
   EXPECT_EQ(timeouts, 0);
-  // All timeout records were canceled on reply; none is still live (the
-  // canceled records themselves recycle lazily as their slots come due).
-  EXPECT_EQ(sim.shard_wheel(0).live_count(), 0u);
+  // All timeout records were canceled on reply; none is still pending.
+  EXPECT_EQ(sim.pending_timers(), 0u);
+}
+
+TEST(TimerHeapTest, CanceledTimerLeavesTheHeapAtOnce) {
+  // Cancel unlinks the record before time advances, from the control
+  // context and from inside another timer's tick.
+  Simulator sim(3);
+  TickRecorder node(&sim);
+  uint64_t far = 0;
+  uint64_t other = 0;
+  size_t pending_in_tick = 0;
+  OnNode(sim, node, [&] {
+    far = node.Every("test.tick", 10 * kSecond, [] {}, 10 * kSecond);
+    other = node.Every("test.tick", 20 * kSecond, [] {}, 20 * kSecond);
+    node.Every(
+        "test.tick", 100,
+        [&] {
+          if (other == 0) return;
+          node.CancelTimer(other);
+          other = 0;
+          pending_in_tick = sim.pending_timers();
+        },
+        100);
+  });
+  EXPECT_EQ(sim.pending_timers(), 3u);
+  node.CancelTimer(far);
+  EXPECT_EQ(sim.pending_timers(), 2u);
+  sim.RunFor(150);
+  EXPECT_EQ(pending_in_tick, 1u);
+  EXPECT_EQ(sim.pending_timers(), 1u);
 }
 
 TEST(NetworkTablesTest, ChannelTablesTornDownOnUnregister) {

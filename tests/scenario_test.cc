@@ -89,6 +89,8 @@ TEST(ScenarioRunnerTest, TimingRowsAreOptIn) {
   const RunReport b = with_timing.Run(*scenario);
   EXPECT_NE(b.Csv().find("perf.wall_us"), std::string::npos);
   EXPECT_NE(b.Csv().find("perf.events_per_sec"), std::string::npos);
+  EXPECT_NE(b.Csv().find("perf.windows"), std::string::npos);
+  EXPECT_NE(b.Csv().find("perf.events_per_1k_windows"), std::string::npos);
   EXPECT_NE(b.Text().find("events/s]"), std::string::npos);
   // Timing rows must not perturb the simulated execution itself.
   ASSERT_EQ(a.phases.size(), b.phases.size());

@@ -44,14 +44,24 @@ TEST(ShardedSimTest, ShardBoundaryTieBreakIsShardCountInvariant) {
     net.min_latency = kMillisecond;
     net.max_latency = kMillisecond;
     Simulator sim(7, net, shards);
-    Node receiver(&sim);
+    // The receiver's id sits between the senders' ids.
     std::vector<std::unique_ptr<Node>> senders;
-    for (int i = 0; i < 8; ++i) senders.push_back(std::make_unique<Node>(&sim));
+    for (int i = 0; i < 4; ++i) senders.push_back(std::make_unique<Node>(&sim));
+    Node receiver(&sim);
+    for (int i = 4; i < 8; ++i) senders.push_back(std::make_unique<Node>(&sim));
     std::vector<std::pair<NodeId, int>> delivered;  // receiver's shard only
     receiver.On<SeqMsg>(
         [&delivered](const Message& m, const SeqMsg& p) {
           delivered.emplace_back(m.from, p.seq);
         });
+    // A node-context After of >= 8 ms, due at the very instant the
+    // messages land (posted at 1 ms, +10 ms = 11 ms): it takes its place
+    // among them by (time, seq), i.e. by the receiver's own id.
+    sim.PostToNode(receiver.id(), [&receiver, &delivered]() {
+      receiver.After(10 * kMillisecond, [&receiver, &delivered]() {
+        delivered.emplace_back(receiver.id(), -1);
+      });
+    });
     std::vector<NodeId> deferred;  // control context only
     // Interleave the arming across node ids so wall execution order and id
     // order disagree under any partition.
@@ -72,6 +82,9 @@ TEST(ShardedSimTest, ShardBoundaryTieBreakIsShardCountInvariant) {
     // order — regardless of which shard owned which sender.
     std::vector<std::pair<NodeId, int>> expect_msgs;
     for (const auto& s : senders) {
+      if (s->id() == receiver.id() + 1) {
+        expect_msgs.emplace_back(receiver.id(), -1);
+      }
       expect_msgs.emplace_back(s->id(), 0);
       expect_msgs.emplace_back(s->id(), 1);
     }
@@ -254,6 +267,7 @@ struct ReplayResult {
   std::string report;
   uint64_t messages = 0;
   uint64_t events = 0;
+  uint64_t windows = 0;
   size_t live = 0;
   std::string trace;  // tracer DumpText, only with trace=true
   std::map<std::string, uint64_t> fires;  // sim.fires.<label> counts
@@ -316,6 +330,12 @@ ReplayResult RunClusterReplay(uint64_t seed, uint32_t shards,
   r.report = cluster.metrics().Report();
   r.messages = cluster.sim().network().messages_sent();
   r.events = cluster.sim().events_executed();
+  r.windows = cluster.sim().windows_executed();
+  // The window base is the exact next pending time, so every window pops
+  // at least the item it starts on.
+  EXPECT_GT(r.windows, 0u);
+  EXPECT_EQ(cluster.sim().empty_windows(), 0u)
+      << "seed " << seed << " shards " << shards;
   r.live = cluster.LiveMembers().size();
   for (const auto& [name, v] : cluster.sim().counters().Snapshot()) {
     if (name.rfind("sim.fires.", 0) == 0) r.fires[name] = v;
@@ -345,6 +365,8 @@ TEST(ShardedSimTest, ClusterReplayIsIdenticalAcrossShardCounts) {
           << "metrics diverged: seed " << seed << " shards " << shards;
       EXPECT_EQ(other.messages, one.messages) << "seed " << seed;
       EXPECT_EQ(other.events, one.events)
+          << "seed " << seed << " shards " << shards;
+      EXPECT_EQ(other.windows, one.windows)
           << "seed " << seed << " shards " << shards;
       EXPECT_EQ(other.live, one.live) << "seed " << seed;
     }

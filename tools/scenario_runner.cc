@@ -91,9 +91,10 @@ void PrintUsage() {
       "  --fatal-audits  stop after the first phase with a probe finding\n"
       "                  (any finding fails the run either way)\n"
       "  --timing        per-phase wall-clock and events/sec in the text\n"
-      "                  report and as perf.* counters in the CSV dump\n"
-      "                  (non-deterministic rows; leave off for replay\n"
-      "                  comparisons)\n"
+      "                  report and as perf.* counters in the CSV dump,\n"
+      "                  with the engine's windows and events per 1k\n"
+      "                  windows (non-deterministic rows; leave off for\n"
+      "                  replay comparisons)\n"
       "  --trace=FILE    enable causal tracing and write the flight\n"
       "                  recorder as Chrome-trace JSON (loads in Perfetto /\n"
       "                  chrome://tracing); on a failing probe the causal\n"
