@@ -13,10 +13,11 @@ void LivenessOracle::OnStore(sim::NodeId peer, Key skv) {
   peer_keys_[peer].insert(skv);
 }
 
-void LivenessOracle::CloseIfEmpty(KeyState& state) {
+void LivenessOracle::CloseIfEmpty(KeyState& state, bool dropped) {
   if (state.holders.empty() && state.open_since.has_value()) {
     state.live.emplace_back(*state.open_since, sim_->now());
     state.open_since.reset();
+    state.dropped = dropped;
   }
 }
 
@@ -26,7 +27,7 @@ void LivenessOracle::OnDrop(sim::NodeId peer, Key skv) {
   it->second.holders.erase(peer);
   auto pit = peer_keys_.find(peer);
   if (pit != peer_keys_.end()) pit->second.erase(skv);
-  CloseIfEmpty(it->second);
+  CloseIfEmpty(it->second, /*dropped=*/true);
 }
 
 void LivenessOracle::OnPeerFailed(sim::NodeId peer) {
@@ -36,7 +37,7 @@ void LivenessOracle::OnPeerFailed(sim::NodeId peer) {
     auto it = keys_.find(skv);
     if (it == keys_.end()) continue;
     it->second.holders.erase(peer);
-    CloseIfEmpty(it->second);
+    CloseIfEmpty(it->second, /*dropped=*/false);
   }
   peer_keys_.erase(pit);
 }
@@ -46,6 +47,16 @@ void LivenessOracle::RegisterInsert(Key skv) { keys_[skv].inserted = true; }
 void LivenessOracle::RegisterDelete(Key skv) {
   auto it = keys_.find(skv);
   if (it != keys_.end()) it->second.deleted = true;
+}
+
+void LivenessOracle::RegisterUnconfirmedDelete(Key skv, sim::SimTime issued) {
+  auto it = keys_.find(skv);
+  if (it == keys_.end()) return;
+  KeyState& s = it->second;
+  if (s.holders.empty() && s.dropped && !s.live.empty() &&
+      s.live.back().second >= issued) {
+    s.deleted = true;
+  }
 }
 
 bool LivenessOracle::IsLiveNow(Key skv) const {

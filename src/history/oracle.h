@@ -37,6 +37,13 @@ class LivenessOracle : public datastore::DataStoreObserver {
   // Successful index-level insert/delete completions.
   void RegisterInsert(Key skv);
   void RegisterDelete(Key skv);
+  // A delete issued at `issued` that reported failure.  It may still have
+  // applied (a timed-out attempt is retried, and only the last attempt's
+  // status reaches the client), so it excuses the key only where the key
+  // stopped being live by a drop, not a crash, at or after `issued`.  A key
+  // lost before the delete was issued, or to a crash while it ran, stays
+  // owed.
+  void RegisterUnconfirmedDelete(Key skv, sim::SimTime issued);
 
   // --- Liveness queries ----------------------------------------------------
   bool IsLiveNow(Key skv) const;
@@ -70,11 +77,13 @@ class LivenessOracle : public datastore::DataStoreObserver {
     // Closed-open [start, end) periods during which holders was non-empty.
     std::vector<std::pair<sim::SimTime, sim::SimTime>> live;
     std::optional<sim::SimTime> open_since;
+    // The last period in `live` ended by a drop (not a peer crash).
+    bool dropped = false;
     bool inserted = false;
     bool deleted = false;
   };
 
-  void CloseIfEmpty(KeyState& state);
+  void CloseIfEmpty(KeyState& state, bool dropped);
   static bool LiveThroughout(const KeyState& s, sim::SimTime from,
                              sim::SimTime to);
 

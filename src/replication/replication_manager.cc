@@ -19,6 +19,7 @@ ReplicationManager::ReplicationManager(ring::RingNode* ring,
   if (options_.metrics != nullptr) {
     Counters& c = options_.metrics->counters();
     m_push_msgs_ = c.Intern("repl.push_msgs");
+    m_push_rpcs_ = c.Intern("repl.push_rpcs");
     m_push_acked_ = c.Intern("repl.push_acked");
     m_delta_pushes_ = c.Intern("repl.delta_pushes");
     m_snapshot_pushes_ = c.Intern("repl.snapshot_pushes");
@@ -28,7 +29,6 @@ ReplicationManager::ReplicationManager(ring::RingNode* ring,
     m_pushes_coalesced_ = c.Intern("repl.pushes_coalesced");
     m_groups_expired_ = c.Intern("repl.groups_expired");
     m_dead_groups_retained_ = c.Intern("repl.dead_groups_retained");
-    m_push_attempt_timeouts_ = c.Intern("repl.push_attempt_timeouts");
     m_push_timeouts_ = c.Intern("repl.push_timeouts");
     m_chain_resets_ = c.Intern("repl.chain_resets");
     m_stale_snapshots_ = c.Intern("repl.stale_snapshots");
@@ -40,6 +40,7 @@ ReplicationManager::ReplicationManager(ring::RingNode* ring,
     m_anti_entropy_probes_ = c.Intern("repl.anti_entropy_probes");
     m_anti_entropy_repairs_ = c.Intern("repl.anti_entropy_repairs");
     m_holders_dropped_ = c.Intern("repl.holders_dropped");
+    m_holders_displaced_ = c.Intern("repl.holders_displaced");
     m_extra_hop_ops_ = c.Intern("repl.extra_hop_ops");
     m_extra_hop_groups_ = c.Intern("repl.extra_hop_groups");
     m_groups_purged_ = c.Intern("repl.groups_purged");
@@ -161,16 +162,6 @@ void ReplicationManager::RefreshTick() {
     }
     ++it;
   }
-  // And holders without *chain* confirmation equally long (dead, or
-  // displaced from our successor chain — repair and probe acks alone must
-  // not keep a displaced holder booked forever).
-  for (auto it = holders_.begin(); it != holders_.end();) {
-    if (now_us - it->second.last_chain_ack > options_.group_ttl) {
-      it = holders_.erase(it);
-    } else {
-      ++it;
-    }
-  }
   PushNow();
 }
 
@@ -211,51 +202,43 @@ std::shared_ptr<ReplicaPushMsg> ReplicationManager::MakeSnapshot(
   push->manifest = own_manifest_;
   push->hops_left = hops_left;
   push->direct = direct;
+  push->pushed_at = now();
   return push;
 }
 
-// --- Audited push hops -------------------------------------------------------
-// Every ReplicaPushMsg / ReplicaDeltaMsg hop is an RPC: acked, resent
-// `push_retries` times, or finally counted in repl.push_timeouts.  The
-// bookkeeping invariant (checked by tests after a crash-free quiesce):
-//   repl.push_msgs == repl.push_acked + repl.push_attempt_timeouts
-// with outstanding_pushes() == 0.
+// --- Push hops ---------------------------------------------------------------
+// Only a hop whose sender waits on it is an RPC.  Channels are reliable and
+// FIFO and peers fail-stop, so resending a plain hop could only duplicate
+// it, and the ring's failure detector already reports a dead successor.
+// The bookkeeping invariant (checked by tests after a quiesce):
+//   repl.push_rpcs == repl.push_acked + repl.push_timeouts
+// with outstanding_pushes() == 0.  repl.push_msgs counts every hop.
 
 void ReplicationManager::SendPushHop(
     sim::NodeId to, sim::PayloadPtr payload,
     std::function<void(HopResult)> on_settled) {
-  PushAttempt(to, std::move(payload), options_.push_retries,
-              std::move(on_settled));
-}
-
-void ReplicationManager::PushAttempt(
-    sim::NodeId to, sim::PayloadPtr payload, int retries_left,
-    std::function<void(HopResult)> on_settled) {
-  ++outstanding_pushes_;
   Inc(m_push_msgs_);
+  if (!on_settled) {
+    Send(to, std::move(payload));
+    return;
+  }
+  ++outstanding_pushes_;
+  Inc(m_push_rpcs_);
   Call(
-      to, payload,
+      to, std::move(payload),
       [this, on_settled](const sim::Message& m) {
         --outstanding_pushes_;
         Inc(m_push_acked_);
         // Delivered; `applied` distinguishes a hop that also absorbed the
         // content from one that needs a snapshot first (durable acks care).
         const auto& ack = static_cast<const ReplicaPushAck&>(*m.payload);
-        if (on_settled) {
-          on_settled(ack.applied ? HopResult::kApplied
-                                 : HopResult::kNotApplied);
-        }
+        on_settled(ack.applied ? HopResult::kApplied : HopResult::kNotApplied);
       },
       options_.rpc_timeout,
-      [this, to, payload, retries_left, on_settled]() {
+      [this, on_settled]() {
         --outstanding_pushes_;
-        Inc(m_push_attempt_timeouts_);
-        if (retries_left > 0) {
-          PushAttempt(to, payload, retries_left - 1, on_settled);
-          return;
-        }
         Inc(m_push_timeouts_);
-        if (on_settled) on_settled(HopResult::kLost);
+        on_settled(HopResult::kLost);
       });
 }
 
@@ -302,6 +285,7 @@ void ReplicationManager::PushNow(std::function<void(bool)> settled) {
     delta->owner_val = ring_->val();
     delta->from_version = last_push_version_;
     delta->hops_left = hops;
+    delta->pushed_at = now();
     if (!quiet) {
       // One walk, merge-joined against the key-ascending base: keys new or
       // re-stamped since the base are upserts, keys only in the base are
@@ -361,7 +345,7 @@ void ReplicationManager::OnLocalItemsChanged() {
   After(options_.push_delay, [this]() {
     push_scheduled_ = false;
     // The durable-ack path often pushes the same mutation synchronously
-    // before this debounce fires; an extra empty heartbeat down k acked
+    // before this debounce fires; an extra empty heartbeat down k
     // hops per mutation adds nothing (the periodic refresh handles
     // keep-alive).  The test is on the content version, not the mutation
     // epoch: an activation clear that stores nothing changes the content
@@ -392,12 +376,14 @@ void ReplicationManager::OnSuccessorFailed(sim::NodeId succ) {
 
 void ReplicationManager::SendStatus(sim::NodeId owner,
                                     std::vector<sim::NodeId> holders,
-                                    bool need_full, bool from_chain) {
+                                    bool need_full, bool from_chain,
+                                    sim::SimTime round) {
   if (owner == id() || holders.empty()) return;
   auto status = std::make_shared<ReplicaStatusMsg>();
   status->holders = std::move(holders);
   status->need_full = need_full;
   status->from_chain = from_chain;
+  status->round = round;
   Send(owner, status);
 }
 
@@ -408,31 +394,28 @@ void ReplicationManager::ContinueChain(const ChainMsg& msg, bool clean) {
   if (msg.hops_left > 0) succ = ring_->GetSuccRelaxed();
   if (!succ.has_value() || succ->id == id() || succ->id == msg.owner) {
     // The chain ends here (no hops left, or it wrapped around a small
-    // ring): report every clean holder along it in one status.
+    // ring): report every clean holder along it in one status.  Out of
+    // hops or back at the owner, it has visited every holder the owner
+    // still has, so it echoes its round.
     std::vector<sim::NodeId> credited = msg.clean_holders;
     if (credit_self) credited.push_back(id());
+    const bool complete = !succ.has_value() ? msg.hops_left == 0
+                                            : succ->id == msg.owner;
     SendStatus(msg.owner, std::move(credited), /*need_full=*/false,
-               /*from_chain=*/true);
+               /*from_chain=*/true, complete ? msg.pushed_at : 0);
     return;
   }
   auto fwd = std::make_shared<ChainMsg>(msg);
   fwd->hops_left = msg.hops_left - 1;
   if (credit_self) fwd->clean_holders.push_back(id());
-  SendPushHop(succ->id, fwd, [this, fwd](HopResult r) {
-    // The next holder never took the chain over: the chain ends here,
-    // without it.
-    if (r == HopResult::kLost) {
-      SendStatus(fwd->owner, fwd->clean_holders, /*need_full=*/false,
-                 /*from_chain=*/true);
-    }
-  });
+  SendPushHop(succ->id, std::move(fwd));
 }
 
 void ReplicationManager::ApplySnapshot(const ReplicaPushMsg& push) {
   ReplicaGroup& group = groups_[push.owner];
   if (group.version > push.manifest.version) {
-    // Stale copy (an extra-hop forward or a reordered retry racing a direct
-    // refresh): never regress a fresher group.
+    // Stale copy (an extra-hop forward or a chain hop racing a direct
+    // repair): never regress a fresher group.
     Inc(m_stale_snapshots_);
     return;
   }
@@ -473,8 +456,8 @@ void ReplicationManager::HandleDelta(const sim::Message& msg,
   } else {
     ReplicaGroup& group = it->second;
     if (group.version == delta.manifest.version) {
-      // Already current (a retried hop, or the owner went quiet): the delta
-      // doubles as a heartbeat.
+      // Already current (the owner went quiet): the delta doubles as a
+      // heartbeat.
       group.owner_val = delta.owner_val;
       group.refreshed_at = now();
       group.ttl_strikes = 0;
@@ -539,7 +522,8 @@ void ReplicationManager::HandleStatus(const sim::Message&,
   for (const sim::NodeId h : status.holders) {
     auto booked = holders_.find(h);
     if (booked == holders_.end()) {
-      // New book entry: grant the chain-confirmation grace window from now.
+      // New book entry: chain-credited from now, so the echo of a round
+      // pushed earlier does not drop it.
       booked = holders_.emplace(h, HolderState{}).first;
       booked->second.last_chain_ack = now();
     }
@@ -556,6 +540,18 @@ void ReplicationManager::HandleStatus(const sim::Message&,
     // snapshot round; re-sync the whole chain instead of re-repairing it
     // every delta.
     chain_warm_ = false;
+  }
+  if (status.round == 0) return;
+  // A chain pushed at `round` ran all its hops: a holder no chain status
+  // credited since then was displaced from our successors (repair and probe
+  // acks alone must not keep it booked and probed).
+  for (auto it = holders_.begin(); it != holders_.end();) {
+    if (it->second.last_chain_ack < status.round) {
+      it = holders_.erase(it);
+      Inc(m_holders_displaced_);
+    } else {
+      ++it;
+    }
   }
 }
 

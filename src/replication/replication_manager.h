@@ -37,9 +37,6 @@ struct ReplicationOptions {
   // times, so slow ring repair cannot outlive the last copies of an arc.
   sim::SimTime group_ttl = 60 * sim::kSecond;
   int dead_owner_ttl_strikes = 32;
-  // Every push hop is an RPC; a timed-out hop is resent this many times
-  // before the drop is recorded in `repl.push_timeouts`.
-  int push_retries = 1;
   // Anti-entropy: low-rate owner-side probe of holders that have gone
   // quiet (no ack for > ~3 refresh periods); divergent manifests are
   // repaired with a direct snapshot.  0 derives 8 * refresh_period.
@@ -153,6 +150,9 @@ struct ReplicaPushMsg : sim::Payload {
   // cleanly (applied, already current, or fresher).  The chain's last
   // holder reports them to the owner in one ReplicaStatusMsg.
   std::vector<sim::NodeId> clean_holders;
+  // The push instant, echoed by the rollup of a chain that ran all its hops;
+  // 0 on the extra-hop copies of other owners' groups.
+  sim::SimTime pushed_at = 0;
 };
 
 // Delta push: the mutations between two owner epochs, plus the manifest of
@@ -170,13 +170,14 @@ struct ReplicaDeltaMsg : sim::Payload {
   ReplicaManifest manifest;
   int hops_left = 0;
   std::vector<sim::NodeId> clean_holders;  // as in ReplicaPushMsg
+  sim::SimTime pushed_at = 0;              // as in ReplicaPushMsg
 };
 
-// Hop-level delivery ack (the push-audit contract: every push hop is an RPC
-// that is acked, retried, or counted in `repl.push_timeouts`).  `applied`
-// is false when the hop was delivered but the content could not be applied
-// (a delta whose base the holder does not have) — the durable-ack path
-// treats that as not-yet-replicated and retries with a snapshot.
+// Hop-level delivery ack, only for a hop whose sender waits on it (a durable
+// push's first hop, a repair snapshot, a departure push; chain hops are
+// plain sends).  `applied` is false when the hop was delivered but the
+// content could not be applied (a delta whose base the holder does not
+// have) — the durable-ack path treats that as not-yet-replicated.
 struct ReplicaPushAck : sim::Payload {
   bool applied = true;
 };
@@ -190,11 +191,14 @@ struct ReplicaPushAck : sim::Payload {
 // triggered by the forwarded push chain (or the first-contact seed) —
 // evidence the holders still sit among the owner's k successors; repair
 // acks do not carry it, so displaced holders age out of the book instead of
-// being repaired forever.
+// being repaired forever.  `round`, when not 0, is the push instant of a
+// chain that ran all its hops: every holder still among the owner's
+// successors has been chain-credited since, so the owner drops the rest.
 struct ReplicaStatusMsg : sim::Payload {
   std::vector<sim::NodeId> holders;
   bool need_full = false;
   bool from_chain = false;
+  sim::SimTime round = 0;
 };
 
 // Owner -> holder (anti-entropy): "is your copy of my group current?"
@@ -250,8 +254,8 @@ class ReplicationManager : public sim::ProtocolComponent,
   }
 
   // Pushes this peer's items to its successors now (delta when the chain is
-  // warm, snapshot otherwise).  `settled`, if given, fires once the first
-  // hop acked-and-applied (true), or with false after the final delivery
+  // warm, snapshot otherwise).  `settled`, if given, makes the first hop an
+  // RPC and fires once it acked-and-applied (true), or with false after its
   // timeout / a hop that could not apply.  The nothing-to-send cases —
   // inactive store, replication factor 0, lone peer — settle true: the
   // mutation is as durable as it can possibly be.
@@ -281,16 +285,16 @@ class ReplicationManager : public sim::ProtocolComponent,
   const ReplicationOptions& options() const { return options_; }
   ring::RingNode* ring() { return ring_; }
 
-  // Push-delivery audit observability: pushes sent minus (acked +
-  // attempt-timeouts); 0 when every hop has been accounted for.
+  // Push-delivery audit observability: RPC push hops sent minus (acked +
+  // timed out); 0 when every awaited hop has been accounted for.
   size_t outstanding_pushes() const { return outstanding_pushes_; }
 
   // Owner-side book entry of one holder that reported a status.
   struct HolderState {
     sim::SimTime last_ack = 0;
-    // Last status that came off the forwarded push chain; holders with no
-    // chain confirmation for a group_ttl are presumed displaced and leave
-    // the book (their stale copy then ages out on their side too).
+    // Last status that came off the forwarded push chain; holders with none
+    // since the push instant of a chain that ran all its hops were displaced
+    // and leave the book (their stale copy then ages out on their side too).
     sim::SimTime last_chain_ack = 0;
     bool repair_in_flight = false;
   };
@@ -313,18 +317,16 @@ class ReplicationManager : public sim::ProtocolComponent,
   void ApplySnapshot(const ReplicaPushMsg& push);
   // Passes a chain push or delta on to the successor, with this holder
   // added to its clean list when `clean`; where the chain ends (no hops
-  // left, the ring wrapped, or the forward hop is finally lost) the clean
-  // list goes to the owner as one rollup status.
+  // left, or the ring wrapped) the clean list goes to the owner as one
+  // rollup status.
   template <typename ChainMsg>
   void ContinueChain(const ChainMsg& msg, bool clean);
   void SendStatus(sim::NodeId owner, std::vector<sim::NodeId> holders,
-                  bool need_full, bool from_chain);
-  // One audited push hop: RPC with `push_retries` resends, then a counted
-  // drop.  `on_settled` is optional.
+                  bool need_full, bool from_chain, sim::SimTime round = 0);
+  // One push hop: a plain send, or with `on_settled` an RPC settled once by
+  // its ack or its timeout (counted in `repl.push_timeouts`).
   void SendPushHop(sim::NodeId to, sim::PayloadPtr payload,
                    std::function<void(HopResult)> on_settled = nullptr);
-  void PushAttempt(sim::NodeId to, sim::PayloadPtr payload, int retries_left,
-                   std::function<void(HopResult)> on_settled);
   // Direct full snapshot to one holder (need_full repair / anti-entropy);
   // `counter` is the interned repair counter to charge.
   void RepairHolder(sim::NodeId holder, Counters::Id counter);
@@ -375,6 +377,7 @@ class ReplicationManager : public sim::ProtocolComponent,
 
   // Interned handles for the push hot path (valid iff metrics set).
   Counters::Id m_push_msgs_ = 0;
+  Counters::Id m_push_rpcs_ = 0;
   Counters::Id m_push_acked_ = 0;
   Counters::Id m_delta_pushes_ = 0;
   Counters::Id m_snapshot_pushes_ = 0;
@@ -385,7 +388,6 @@ class ReplicationManager : public sim::ProtocolComponent,
   // Maintenance/expiry counters (colder, but still per-tick under churn).
   Counters::Id m_groups_expired_ = 0;
   Counters::Id m_dead_groups_retained_ = 0;
-  Counters::Id m_push_attempt_timeouts_ = 0;
   Counters::Id m_push_timeouts_ = 0;
   Counters::Id m_chain_resets_ = 0;
   Counters::Id m_stale_snapshots_ = 0;
@@ -397,6 +399,7 @@ class ReplicationManager : public sim::ProtocolComponent,
   Counters::Id m_anti_entropy_probes_ = 0;
   Counters::Id m_anti_entropy_repairs_ = 0;
   Counters::Id m_holders_dropped_ = 0;
+  Counters::Id m_holders_displaced_ = 0;
   Counters::Id m_extra_hop_ops_ = 0;
   Counters::Id m_extra_hop_groups_ = 0;
   Counters::Id m_groups_purged_ = 0;

@@ -114,6 +114,7 @@ Simulator::Simulator(uint64_t seed, NetworkOptions net, uint32_t shards)
   // cross-shard effects.  A zero floor would make windows degenerate.
   PEPPER_CHECK(net.min_latency >= 1);
   lookahead_ = net.min_latency;
+  timers_armed_ = counters_.Intern("sim.timers.armed");
   shards_.reserve(shards);
   for (uint32_t i = 0; i < shards; ++i) {
     auto sc = std::make_unique<ShardCore>();
@@ -196,6 +197,7 @@ void Simulator::AfterOnNode(NodeId id, SimTime delay,
 uint32_t Simulator::ArmTimer(NodeId id, SimTime expiry, SimTime period,
                              std::function<void()> fn, uint32_t fires) {
   TimerHeap::Timer timer{id, fires, period, std::move(fn)};
+  counters_.Inc(timers_armed_);
   ShardCore* sc = exec_shard_;
   if (sc != nullptr) {
     PEPPER_CHECK(ShardOf(id) == sc->index);

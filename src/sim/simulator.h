@@ -339,6 +339,9 @@ class Simulator {
   std::vector<Counters::Id> msg_counters_;
   // `sim.fires.<label>` handle by label address (labels are literals).
   std::vector<std::pair<const char*, Counters::Id>> fire_counters_;
+  // `sim.timers.armed`: timer records taken (one-shot timers, RPC timeouts
+  // and periodic timers' first arm; a periodic re-arm reuses its record).
+  Counters::Id timers_armed_ = 0;
   trace::Tracer tracer_;
   TelemetrySink* telemetry_sink_ = nullptr;
   std::vector<Node*> nodes_;  // index == NodeId; nullptr when destroyed

@@ -103,29 +103,39 @@ void WorkloadDriver::ArmInsert(uint64_t epoch) {
     if (!running_ || epoch != epoch_) return;
     PeerStack* via = cluster_->SomeMember();
     if (via != nullptr) {
-      const Key key = NextKey();
-      ++inserts_issued_;
-      inserted_keys_.push_back(key);
-      metrics().counters().Inc(m_inserts_issued_);
       datastore::Item item;
-      item.skv = key;
+      item.skv = NextKey();
       item.data = "w";
       auto* oracle = &cluster_->oracle();
-      const sim::SimTime issued = cluster_->sim().now();
-      // Completion runs on the serving node's execution; the oracle timeline
-      // is cluster-global, so the body routes through the control context
-      // (at the window barrier, with now() still reporting the completion
-      // instant).
-      via->index->InsertItem(item, [this, oracle, key,
-                                    issued](const Status& s) {
-        cluster_->sim().Defer([this, oracle, key, issued, s]() {
-          if (s.ok()) {
-            oracle->RegisterInsert(key);
-            m_insert_time_->Add(
-                sim::ToSeconds(cluster_->sim().now() - issued));
-          } else {
-            metrics().counters().Inc(m_insert_failures_);
-          }
+      // Client operations run on the gateway's own execution, one lookahead
+      // out.  This timer runs in the control context, at the barrier after
+      // the window's node events, where a store read is already as of the
+      // window edge while now() still reports the control instant: a query
+      // the gateway answered locally would be audited against the wrong
+      // interval.  The driver's own state and the cluster-global oracle are
+      // control-context state, so the issue count (an operation whose
+      // gateway crashed before it started was never issued) and the
+      // completion route back through Defer (at the window barrier, with
+      // now() still reporting the issue or completion instant).
+      cluster_->sim().PostToNode(via->id(), [this, via, item, oracle]() {
+        const Key key = item.skv;
+        const sim::SimTime issued = cluster_->sim().now();
+        cluster_->sim().Defer([this, key]() {
+          ++inserts_issued_;
+          inserted_keys_.push_back(key);
+          metrics().counters().Inc(m_inserts_issued_);
+        });
+        via->index->InsertItem(item, [this, oracle, key,
+                                      issued](const Status& s) {
+          cluster_->sim().Defer([this, oracle, key, issued, s]() {
+            if (s.ok()) {
+              oracle->RegisterInsert(key);
+              m_insert_time_->Add(
+                  sim::ToSeconds(cluster_->sim().now() - issued));
+            } else {
+              metrics().counters().Inc(m_insert_failures_);
+            }
+          });
         });
       });
     }
@@ -142,12 +152,22 @@ void WorkloadDriver::ArmDelete(uint64_t epoch) {
       const size_t idx = rng_.Uniform(0, inserted_keys_.size() - 1);
       const Key key = inserted_keys_[idx];
       inserted_keys_.erase(inserted_keys_.begin() + static_cast<long>(idx));
-      ++deletes_issued_;
-      metrics().counters().Inc(m_deletes_issued_);
       auto* oracle = &cluster_->oracle();
-      via->index->DeleteItem(key, [this, oracle, key](const Status& s) {
-        cluster_->sim().Defer([oracle, key, s]() {
-          if (s.ok()) oracle->RegisterDelete(key);
+      cluster_->sim().PostToNode(via->id(), [this, via, oracle, key]() {
+        const sim::SimTime issued = cluster_->sim().now();
+        cluster_->sim().Defer([this]() {
+          ++deletes_issued_;
+          metrics().counters().Inc(m_deletes_issued_);
+        });
+        via->index->DeleteItem(key, [this, oracle, key,
+                                     issued](const Status& s) {
+          cluster_->sim().Defer([oracle, key, issued, s]() {
+            if (s.ok()) {
+              oracle->RegisterDelete(key);
+            } else {
+              oracle->RegisterUnconfirmedDelete(key, issued);
+            }
+          });
         });
       });
     }
@@ -192,36 +212,40 @@ void WorkloadDriver::ArmQuery(uint64_t epoch) {
       const Key hi = std::min(lo + options_.query_span_width,
                               options_.key_max);
       const Span span{lo, hi};
-      ++queries_issued_;
-      metrics().counters().Inc(m_queries_issued_);
       auto* oracle = &cluster_->oracle();
-      const sim::SimTime started = cluster_->sim().now();
-      via->index->RangeQuery(
-          span, [this, oracle, span, started](
-                    const Status& s, std::vector<datastore::Item> items) {
-            // The audit reads the oracle's global timeline: control context
-            // only (now() inside still reports the completion instant).
-            cluster_->sim().Defer([this, oracle, span, started, s,
-                                   items = std::move(items)]() {
-              m_query_time_->Add(
-                  sim::ToSeconds(cluster_->sim().now() - started));
-              if (!s.ok()) {
-                metrics().counters().Inc(m_query_failures_);
-                return;  // incomplete results carry no correctness claim
-              }
-              std::vector<Key> keys;
-              keys.reserve(items.size());
-              for (const auto& it : items) keys.push_back(it.skv);
-              const auto audit = oracle->CheckQuery(
-                  span, started, cluster_->sim().now(), keys);
-              if (audit.correct) {
-                metrics().counters().Inc(m_queries_ok_);
-              } else {
-                ++query_violations_;
-                metrics().counters().Inc(m_query_violations_);
-              }
+      cluster_->sim().PostToNode(via->id(), [this, via, oracle, span]() {
+        const sim::SimTime started = cluster_->sim().now();
+        cluster_->sim().Defer([this]() {
+          ++queries_issued_;
+          metrics().counters().Inc(m_queries_issued_);
+        });
+        via->index->RangeQuery(
+            span, [this, oracle, span, started](
+                      const Status& s, std::vector<datastore::Item> items) {
+              // The audit reads the oracle's global timeline: control context
+              // only (now() inside still reports the completion instant).
+              cluster_->sim().Defer([this, oracle, span, started, s,
+                                     items = std::move(items)]() {
+                m_query_time_->Add(
+                    sim::ToSeconds(cluster_->sim().now() - started));
+                if (!s.ok()) {
+                  metrics().counters().Inc(m_query_failures_);
+                  return;  // incomplete results carry no correctness claim
+                }
+                std::vector<Key> keys;
+                keys.reserve(items.size());
+                for (const auto& it : items) keys.push_back(it.skv);
+                const auto audit = oracle->CheckQuery(
+                    span, started, cluster_->sim().now(), keys);
+                if (audit.correct) {
+                  metrics().counters().Inc(m_queries_ok_);
+                } else {
+                  ++query_violations_;
+                  metrics().counters().Inc(m_query_violations_);
+                }
+              });
             });
-          });
+      });
     }
     ArmQuery(epoch);
   });

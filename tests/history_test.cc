@@ -138,6 +138,31 @@ TEST_F(OracleTest, AvailabilityAuditReportsLostItems) {
   EXPECT_EQ(audit.lost[0], 7u);
 }
 
+TEST_F(OracleTest, FailedDeleteExcusesOnlyAKeyDroppedWhileItRan) {
+  // 1: dropped while its failed delete ran (an earlier attempt applied).
+  // 2: lost to a crash while its failed delete ran.  3: lost to a crash
+  // before its delete was issued.  4: still live after its failed delete.
+  for (Key k = 1; k <= 4; ++k) {
+    oracle_.OnStore(static_cast<sim::NodeId>(k), k);
+    oracle_.RegisterInsert(k);
+  }
+  sim_.RunFor(100);
+  oracle_.OnPeerFailed(3);
+  sim_.RunFor(100);
+  const sim::SimTime issued = sim_.now();
+  sim_.RunFor(100);
+  oracle_.OnDrop(1, 1);
+  oracle_.OnPeerFailed(2);
+  sim_.RunFor(100);
+  for (Key k = 1; k <= 4; ++k) oracle_.RegisterUnconfirmedDelete(k, issued);
+  auto audit = oracle_.CheckAvailability();
+  EXPECT_EQ(audit.lost, (std::vector<Key>{2, 3}));
+
+  // Key 4's delete did not apply; a later loss is still owed.
+  oracle_.OnPeerFailed(4);
+  EXPECT_EQ(oracle_.CheckAvailability().lost, (std::vector<Key>{2, 3, 4}));
+}
+
 // The audit as a set-based reference: the result as a std::set, and every
 // key of the universe probed for condition 2 on its own.
 LivenessOracle::QueryAudit ReferenceAudit(const LivenessOracle& oracle,

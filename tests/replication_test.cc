@@ -234,9 +234,10 @@ TEST(ReplicationRollupTest, QuietRoundSendsOneStatusAndBooksEveryHolder) {
   owner->repl->PushNow();
   c.RunFor(50 * sim::kMillisecond);
 
-  // k acked delta hops, and one status: the rollup from the k-th holder.
+  // k delta hops, none of them acked (no caller waits on a refresh), and
+  // one status: the rollup from the k-th holder.
   EXPECT_EQ(Sent(c, "ReplicaDeltaMsg") - deltas, kK);
-  EXPECT_EQ(Sent(c, "ReplicaPushAck") - acks, kK);
+  EXPECT_EQ(Sent(c, "ReplicaPushAck") - acks, 0u);
   EXPECT_EQ(Sent(c, "ReplicaStatusMsg") - statuses, 1u);
   // Hop i lands at t0 + i hops; the rollup leaves the k-th holder then.
   const sim::SimTime rollup_at = t0 + (kK + 1) * kHop;
@@ -296,64 +297,86 @@ TEST(ReplicationRollupTest, OffChainHolderAsksForRepairAtOnce) {
   EXPECT_EQ(book.at(ring[3]->id()).last_chain_ack, t0 + 4 * kHop);
 }
 
-TEST(ReplicationRollupTest, LostForwardHopFlushesUpstreamCredit) {
+// A chain hop is a plain send, so a holder that forwards into a crashed
+// successor learns nothing, and the round credits no one.  Once the ring has
+// dropped the crashed holder, the next round reaches every live holder: the
+// upstream holders are credited, the holder behind the crash catches up by
+// repair, and the crashed one leaves the owner's book — all without an
+// anti-entropy probe.
+TEST(ReplicationRollupTest, RoundAfterTheRingDropsACrashedHolderCreditsTheRest) {
   constexpr size_t kK = 4;
   Cluster c(HandDrivenOptions(73, kK));
   const std::vector<PeerStack*> ring = SettledRing(c, 73);
-  ASSERT_GT(ring.size(), kK + 1);
+  ASSERT_GT(ring.size(), kK + 2);
   PeerStack* owner = ring[0];
   const auto& book = owner->repl->holders();
   std::vector<sim::SimTime> before;
   for (size_t i = 1; i <= kK; ++i) {
     ASSERT_EQ(book.count(ring[i]->id()), 1u) << "holder " << i;
-    before.push_back(book.at(ring[i]->id()).last_ack);
+    before.push_back(book.at(ring[i]->id()).last_chain_ack);
   }
+  const auto& counters = c.metrics().counters();
+  const uint64_t probes = counters.Get("repl.anti_entropy_probes");
 
-  // The third holder dies at the instant of the push: the second holder
-  // forwards into it before the ring can notice.
+  // The third holder dies at the instant of a push that carries a change:
+  // the second holder forwards into it before the ring can notice, so the
+  // fourth holder misses the change.
+  const Key lo = owner->ds->range().hi();
+  owner->ds->StoreItem(datastore::Item{lo, "changed"});
   c.FailPeer(ring[3]);
+  owner->repl->PushNow();
+  c.RunFor(50 * sim::kMillisecond);
+  for (size_t i = 1; i <= kK; ++i) {
+    const auto it = book.find(ring[i]->id());
+    EXPECT_TRUE(it == book.end() || it->second.last_chain_ack == before[i - 1])
+        << "holder " << i << " credited by a cut chain";
+  }
+  EXPECT_NE(ring[4]->repl->groups().at(owner->id()).version,
+            owner->ds->mutation_epoch());
+
+  // The ring drops the crashed holder from the second holder's successors.
+  for (int i = 0; i < 100; ++i) {
+    const auto succ = ring[2]->ring->GetSuccRelaxed();
+    if (succ.has_value() && succ->id == ring[4]->id()) break;
+    c.RunFor(10 * sim::kMillisecond);
+  }
+  ASSERT_EQ(ring[2]->ring->GetSuccRelaxed()->id, ring[4]->id());
+
+  // The next round runs owner -> 1 -> 2 -> 4 -> 5.  The fourth holder asks
+  // for a repair when the delta reaches it; the fifth closes the chain and
+  // echoes the round.
   const sim::SimTime t0 = c.sim().now();
   owner->repl->PushNow();
-  // The forward leaves the second holder at t0 + 2 hops; it and its one
-  // resend time out, and the second holder flushes the chain's clean list
-  // to the owner, one hop away.
-  const sim::SimTime rpc = c.options().repl.rpc_timeout;
-  const sim::SimTime flushed_at =
-      t0 + 2 * kHop + (c.options().repl.push_retries + 1) * rpc + kHop;
-  c.sim().RunUntil(flushed_at - 1);
-  EXPECT_EQ(book.at(ring[1]->id()).last_ack, before[0]);
-  EXPECT_EQ(book.at(ring[2]->id()).last_ack, before[1]);
   c.RunFor(50 * sim::kMillisecond);
-  EXPECT_EQ(book.at(ring[1]->id()).last_ack, flushed_at);
-  EXPECT_EQ(book.at(ring[1]->id()).last_chain_ack, flushed_at);
-  EXPECT_EQ(book.at(ring[2]->id()).last_ack, flushed_at);
-  // Neither the crashed hop nor the holder behind it is credited.
-  const auto dead = book.find(ring[3]->id());
-  EXPECT_TRUE(dead == book.end() || dead->second.last_ack == before[2]);
-  EXPECT_EQ(book.at(ring[4]->id()).last_ack, before[3]);
-  EXPECT_GE(c.metrics().counters().Get("repl.push_timeouts"), 1u);
+  const sim::SimTime rollup_at = t0 + (kK + 1) * kHop;
+  EXPECT_EQ(book.at(ring[1]->id()).last_chain_ack, rollup_at);
+  EXPECT_EQ(book.at(ring[2]->id()).last_chain_ack, rollup_at);
+  EXPECT_EQ(book.at(ring[4]->id()).last_chain_ack, t0 + 4 * kHop);
+  EXPECT_EQ(book.count(ring[3]->id()), 0u);
+  const auto& caught_up = ring[4]->repl->groups().at(owner->id());
+  EXPECT_EQ(caught_up.version, owner->ds->mutation_epoch());
+  EXPECT_EQ(caught_up.items(), owner->ds->ItemsSnapshot());
+  EXPECT_EQ(counters.Get("repl.anti_entropy_probes"), probes);
 }
 
-// With every holder credited once per round by the rollup, no holder of a
-// stable ring ever looks quiet to the anti-entropy scan; and every push
-// hop is still acked or counted.
+// With every holder credited once per round by the rollup, and every holder
+// a split displaced from the chain dropped from the book by the next round
+// that runs all its hops, no holder of a stable ring ever looks quiet to the
+// anti-entropy scan — from the end of the population on.  Every push hop a
+// caller waited on is acked or counted.
 TEST(ReplicationRollupTest, StableRingNeedsNoAntiEntropyProbes) {
   ClusterOptions o = TestOptions(74);
   o.repl.anti_entropy_period = o.repl.refresh_period;
-  o.repl.group_ttl = 3 * sim::kSecond;
   Cluster c(o);
   Populate(c, 100, 74);
-  // Holders the population's splits displaced from a chain are probed
-  // until they leave the book, one group TTL after their last chain
-  // status.
-  c.RunFor(2 * o.repl.group_ttl);
   ASSERT_GE(c.LiveMembers().size(), 8u);
   const auto& counters = c.metrics().counters();
   const uint64_t probes = counters.Get("repl.anti_entropy_probes");
   c.RunFor(20 * o.repl.refresh_period);
   EXPECT_EQ(counters.Get("repl.anti_entropy_probes"), probes);
+  EXPECT_GT(counters.Get("repl.holders_displaced"), 0u);
 
-  // Quiesce to an instant with no push hop in flight, then audit.
+  // Quiesce to an instant with no awaited push hop in flight, then audit.
   auto outstanding = [&c]() {
     size_t n = 0;
     for (const auto& p : c.peers()) n += p->repl->outstanding_pushes();
@@ -363,9 +386,12 @@ TEST(ReplicationRollupTest, StableRingNeedsNoAntiEntropyProbes) {
     c.RunFor(100 * sim::kMicrosecond);
   }
   ASSERT_EQ(outstanding(), 0u);
-  EXPECT_EQ(counters.Get("repl.push_msgs"),
-            counters.Get("repl.push_acked") +
-                counters.Get("repl.push_attempt_timeouts"));
+  const uint64_t rpcs = counters.Get("repl.push_rpcs");
+  ASSERT_GT(rpcs, 0u);
+  EXPECT_EQ(rpcs, counters.Get("repl.push_acked") +
+                      counters.Get("repl.push_timeouts"));
+  EXPECT_EQ(counters.Get("repl.push_timeouts"), 0u);
+  EXPECT_LT(rpcs, counters.Get("repl.push_msgs"));
 }
 
 }  // namespace

@@ -273,6 +273,7 @@ struct ReplayResult {
   std::map<std::string, uint64_t> fires;  // sim.fires.<label> counts
   uint64_t timer_fires = 0;
   std::map<std::string, uint64_t> msgs;  // sim.msgs.<PayloadType> counts
+  uint64_t timers_armed = 0;             // sim.timers.armed
 };
 
 // Puts a do-nothing 7 ms timer on every peer: on those alive now, and on
@@ -342,6 +343,7 @@ ReplayResult RunClusterReplay(uint64_t seed, uint32_t shards,
     if (name.rfind("sim.msgs.", 0) == 0) r.msgs[name] = v;
   }
   r.timer_fires = cluster.sim().timer_fires_executed();
+  r.timers_armed = cluster.sim().counters().Get("sim.timers.armed");
   if (trace) {
     EXPECT_EQ(cluster.sim().tracer().records_dropped(), 0u)
         << "ring too small for the identity comparison";
@@ -396,7 +398,8 @@ TEST(ShardedSimTest, TimerFireLabelsSumToTheTotalAtAnyShardCount) {
 
 // Every sent message is counted under its payload type's unqualified
 // struct name, so the per-type counts add up to the network's total
-// exactly; and they do not depend on the partition either.
+// exactly; and they do not depend on the partition either, nor does the
+// count of timer records armed.
 TEST(ShardedSimTest, MessageTypeCountsSumToTheTotalAtAnyShardCount) {
   const ReplayResult one = RunClusterReplay(42, 1);
   const ReplayResult four = RunClusterReplay(42, 4);
@@ -413,6 +416,9 @@ TEST(ShardedSimTest, MessageTypeCountsSumToTheTotalAtAnyShardCount) {
   }
   EXPECT_EQ(four.msgs, one.msgs);
   EXPECT_EQ(four.messages, one.messages);
+  // Timer records taken are a property of the schedule too.
+  EXPECT_GT(one.timers_armed, 0u);
+  EXPECT_EQ(four.timers_armed, one.timers_armed);
 }
 
 // There is one engine: `shards` 0 (the ClusterOptions default) and 1 both
