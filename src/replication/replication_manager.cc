@@ -9,6 +9,27 @@
 
 namespace pepper::replication {
 
+namespace {
+
+// A snapshot of `owner`'s group as held here, forwarded `hops_left` more
+// times: a departure's extra hop, or a cut chain re-forwarded.
+std::shared_ptr<ReplicaPushMsg> GroupSnapshot(sim::NodeId owner,
+                                              const ReplicaGroup& group,
+                                              int hops_left) {
+  auto push = std::make_shared<ReplicaPushMsg>();
+  push->owner = owner;
+  push->owner_val = group.owner_val;
+  push->items.reserve(group.items().size());
+  push->epochs.reserve(group.epochs().size());
+  for (const auto& [skv, item] : group.items()) push->items.push_back(item);
+  for (const auto& [skv, epoch] : group.epochs()) push->epochs.push_back(epoch);
+  push->manifest = group.Manifest();
+  push->hops_left = hops_left;
+  return push;
+}
+
+}  // namespace
+
 ReplicationManager::ReplicationManager(ring::RingNode* ring,
                                        datastore::DataStoreNode* ds,
                                        ReplicationOptions options)
@@ -37,10 +58,7 @@ ReplicationManager::ReplicationManager(ring::RingNode* ring,
     m_manifest_mismatches_ = c.Intern("repl.manifest_mismatches");
     m_delta_applies_ = c.Intern("repl.delta_applies");
     m_snapshot_repairs_ = c.Intern("repl.snapshot_repairs");
-    m_anti_entropy_probes_ = c.Intern("repl.anti_entropy_probes");
-    m_anti_entropy_repairs_ = c.Intern("repl.anti_entropy_repairs");
-    m_holders_dropped_ = c.Intern("repl.holders_dropped");
-    m_holders_displaced_ = c.Intern("repl.holders_displaced");
+    m_chain_reforwards_ = c.Intern("repl.chain_reforwards");
     m_extra_hop_ops_ = c.Intern("repl.extra_hop_ops");
     m_extra_hop_groups_ = c.Intern("repl.extra_hop_groups");
     m_groups_purged_ = c.Intern("repl.groups_purged");
@@ -53,19 +71,13 @@ ReplicationManager::ReplicationManager(ring::RingNode* ring,
       [this](const sim::Message& m, const ReplicaDeltaMsg& delta) {
         HandleDelta(m, delta);
       });
-  On<ReplicaStatusMsg>(
-      [this](const sim::Message& m, const ReplicaStatusMsg& status) {
-        HandleStatus(m, status);
-      });
-  On<ManifestProbeMsg>(
-      [this](const sim::Message& m, const ManifestProbeMsg& probe) {
-        HandleProbe(m, probe);
+  On<ReplicaRepairRequest>(
+      [this](const sim::Message& m, const ReplicaRepairRequest&) {
+        HandleRepairRequest(m);
       });
   revive_ = std::make_unique<ReviveProtocol>(this);
   Every("repl.refresh", options_.refresh_period,
         [this]() { RefreshTick(); }, RandomPhase(options_.refresh_period));
-  Every("repl.anti_entropy", anti_entropy_period(),
-        [this]() { AntiEntropyTick(); }, RandomPhase(anti_entropy_period()));
 }
 
 ReplicationManager::~ReplicationManager() = default;
@@ -120,11 +132,6 @@ void ReplicaGroup::Reset() {
   hash_ = 0;
 }
 
-sim::SimTime ReplicationManager::anti_entropy_period() const {
-  return options_.anti_entropy_period != 0 ? options_.anti_entropy_period
-                                           : 8 * options_.refresh_period;
-}
-
 void ReplicationManager::RefreshTick() {
   // Age out groups whose owner stopped refreshing long ago — but never
   // blindly: an expired group whose owner is DEAD may hold the last copies
@@ -176,15 +183,7 @@ void ReplicationManager::ScanOwnItems(Visit&& visit) {
     visit(item, epoch);
   });
   own_manifest_ = manifest;
-  own_content_version_ = ds_->content_version();
   own_snapshot_cost_ = snapshot_cost;
-}
-
-const ReplicaManifest& ReplicationManager::OwnManifest() {
-  if (own_content_version_ != ds_->content_version()) {
-    ScanOwnItems([](const datastore::Item&, uint64_t) {});
-  }
-  return own_manifest_;
 }
 
 std::shared_ptr<ReplicaPushMsg> ReplicationManager::MakeSnapshot(
@@ -202,7 +201,6 @@ std::shared_ptr<ReplicaPushMsg> ReplicationManager::MakeSnapshot(
   push->manifest = own_manifest_;
   push->hops_left = hops_left;
   push->direct = direct;
-  push->pushed_at = now();
   return push;
 }
 
@@ -285,7 +283,6 @@ void ReplicationManager::PushNow(std::function<void(bool)> settled) {
     delta->owner_val = ring_->val();
     delta->from_version = last_push_version_;
     delta->hops_left = hops;
-    delta->pushed_at = now();
     if (!quiet) {
       // One walk, merge-joined against the key-ascending base: keys new or
       // re-stamped since the base are upserts, keys only in the base are
@@ -358,56 +355,45 @@ void ReplicationManager::OnLocalItemsChanged() {
   });
 }
 
-void ReplicationManager::OnSuccessorFailed(sim::NodeId succ) {
-  holders_.erase(succ);
+void ReplicationManager::OnSuccessorFailed(sim::NodeId /*succ*/) {
+  // Reacting *immediately* (instead of waiting for the next refresh) is part
+  // of the PEPPER availability protocol; the naive CFS baseline the
+  // ablations compare against reacts to nothing.
+  const bool react = ds_->options().pepper_availability;
+  auto next = ring_->GetSuccRelaxed();
+  if (react && next.has_value() && next->id != id()) {
+    // Every chain forwarded here since the successor died stopped with it
+    // (chain hops are plain sends), so the holders behind it missed those
+    // rounds.  Mend each chain from here, before its owner and this copy
+    // can both die: the group goes on as a snapshot, as far as its last
+    // chain message would have gone.
+    for (const auto& [owner, group] : groups_) {
+      if (group.hops_left <= 0 || owner == next->id) continue;
+      SendPushHop(next->id, GroupSnapshot(owner, group, group.hops_left - 1));
+      Inc(m_chain_reforwards_);
+    }
+  }
   if (!ds_->active()) return;
   // The chain's first hop changed under crash suspicion: the next push must
-  // be a full snapshot along the repaired chain.
+  // be a full snapshot along the repaired chain.  The window where a fresh
+  // first holder lacks our group is exactly the Definition 7 gap.
   chain_warm_ = false;
   Inc(m_chain_resets_);
-  // Re-pushing *immediately* (instead of waiting for the next refresh) is
-  // part of the PEPPER availability protocol; the naive CFS baseline the
-  // ablations compare against reacts to nothing.  The window where a fresh
-  // first holder lacks our group is exactly the Definition 7 gap.
-  if (ds_->options().pepper_availability) PushNow();
+  if (react) PushNow();
 }
 
 // --- Holder side: applying pushes -------------------------------------------
 
-void ReplicationManager::SendStatus(sim::NodeId owner,
-                                    std::vector<sim::NodeId> holders,
-                                    bool need_full, bool from_chain,
-                                    sim::SimTime round) {
-  if (owner == id() || holders.empty()) return;
-  auto status = std::make_shared<ReplicaStatusMsg>();
-  status->holders = std::move(holders);
-  status->need_full = need_full;
-  status->from_chain = from_chain;
-  status->round = round;
-  Send(owner, status);
-}
-
 template <typename ChainMsg>
-void ReplicationManager::ContinueChain(const ChainMsg& msg, bool clean) {
-  const bool credit_self = clean && msg.owner != id();
-  std::optional<ring::SuccEntry> succ;
-  if (msg.hops_left > 0) succ = ring_->GetSuccRelaxed();
-  if (!succ.has_value() || succ->id == id() || succ->id == msg.owner) {
-    // The chain ends here (no hops left, or it wrapped around a small
-    // ring): report every clean holder along it in one status.  Out of
-    // hops or back at the owner, it has visited every holder the owner
-    // still has, so it echoes its round.
-    std::vector<sim::NodeId> credited = msg.clean_holders;
-    if (credit_self) credited.push_back(id());
-    const bool complete = !succ.has_value() ? msg.hops_left == 0
-                                            : succ->id == msg.owner;
-    SendStatus(msg.owner, std::move(credited), /*need_full=*/false,
-               /*from_chain=*/true, complete ? msg.pushed_at : 0);
-    return;
-  }
+void ReplicationManager::ContinueChain(const ChainMsg& msg) {
+  auto group = groups_.find(msg.owner);
+  if (group != groups_.end()) group->second.hops_left = msg.hops_left;
+  if (msg.hops_left <= 0) return;
+  auto succ = ring_->GetSuccRelaxed();
+  // The chain also ends where it wraps back to its owner on a small ring.
+  if (!succ.has_value() || succ->id == id() || succ->id == msg.owner) return;
   auto fwd = std::make_shared<ChainMsg>(msg);
   fwd->hops_left = msg.hops_left - 1;
-  if (credit_self) fwd->clean_holders.push_back(id());
   SendPushHop(succ->id, std::move(fwd));
 }
 
@@ -436,12 +422,7 @@ void ReplicationManager::HandlePush(const sim::Message& msg,
   if (msg.rpc_id != 0) {
     Reply(msg, sim::MakePayload<ReplicaPushAck>());
   }
-  // Applied, or stale behind a fresher copy: clean either way.
-  if (push.direct) {
-    SendStatus(push.owner, {id()}, /*need_full=*/false, /*from_chain=*/false);
-  } else {
-    ContinueChain(push, /*clean=*/true);
-  }
+  if (!push.direct) ContinueChain(push);
 }
 
 void ReplicationManager::HandleDelta(const sim::Message& msg,
@@ -464,8 +445,8 @@ void ReplicationManager::HandleDelta(const sim::Message& msg,
     } else if (group.version > delta.manifest.version) {
       // Stale delta (channels are FIFO only per sender pair: a forwarded
       // chain delta can trail a direct repair snapshot).  Our copy is
-      // fresher — same never-regress rule as ApplySnapshot, and no
-      // need_full: a repair would just re-send what we already hold.
+      // fresher — same never-regress rule as ApplySnapshot, and no repair
+      // request: a repair would just re-send what we already hold.
       Inc(m_stale_deltas_);
     } else if (group.version == delta.from_version) {
       // End-to-end check, before touching the copy: applying the exact
@@ -507,117 +488,27 @@ void ReplicationManager::HandleDelta(const sim::Message& msg,
     ack->applied = !need_full;
     Reply(msg, ack);
   }
-  // A repair is asked for at once; a clean copy is reported by the rollup.
-  if (need_full) {
-    SendStatus(delta.owner, {id()}, /*need_full=*/true, /*from_chain=*/true);
+  if (need_full && delta.owner != id()) {
+    Send(delta.owner, sim::MakePayload<ReplicaRepairRequest>());
   }
-  ContinueChain(delta, /*clean=*/!need_full);
+  ContinueChain(delta);
 }
 
-// --- Owner side: holder book, repair, anti-entropy --------------------------
+// --- Owner side: repair ------------------------------------------------------
 
-void ReplicationManager::HandleStatus(const sim::Message&,
-                                      const ReplicaStatusMsg& status) {
-  if (!ds_->active()) return;
-  for (const sim::NodeId h : status.holders) {
-    auto booked = holders_.find(h);
-    if (booked == holders_.end()) {
-      // New book entry: chain-credited from now, so the echo of a round
-      // pushed earlier does not drop it.
-      booked = holders_.emplace(h, HolderState{}).first;
-      booked->second.last_chain_ack = now();
-    }
-    HolderState& holder = booked->second;
-    holder.last_ack = now();
-    if (status.from_chain) holder.last_chain_ack = now();
-    if (!status.need_full) {
-      holder.repair_in_flight = false;
-      continue;
-    }
-    if (holder.repair_in_flight) continue;
-    RepairHolder(h, m_snapshot_repairs_);
-    // A repaired holder sits at an off-chain version until the next
-    // snapshot round; re-sync the whole chain instead of re-repairing it
-    // every delta.
-    chain_warm_ = false;
-  }
-  if (status.round == 0) return;
-  // A chain pushed at `round` ran all its hops: a holder no chain status
-  // credited since then was displaced from our successors (repair and probe
-  // acks alone must not keep it booked and probed).
-  for (auto it = holders_.begin(); it != holders_.end();) {
-    if (it->second.last_chain_ack < status.round) {
-      it = holders_.erase(it);
-      Inc(m_holders_displaced_);
-    } else {
-      ++it;
-    }
-  }
+void ReplicationManager::HandleRepairRequest(const sim::Message& msg) {
+  if (!ds_->active() || repairs_in_flight_.count(msg.from) > 0) return;
+  RepairHolder(msg.from);
+  // A repaired holder sits at an off-chain version until the next snapshot
+  // round; re-sync the whole chain instead of re-repairing it every delta.
+  chain_warm_ = false;
 }
 
-void ReplicationManager::RepairHolder(sim::NodeId holder,
-                                      Counters::Id counter) {
-  holders_[holder].repair_in_flight = true;
-  Inc(counter);
+void ReplicationManager::RepairHolder(sim::NodeId holder) {
+  repairs_in_flight_.insert(holder);
+  Inc(m_snapshot_repairs_);
   SendPushHop(holder, MakeSnapshot(0, /*direct=*/true),
-              [this, holder](HopResult r) {
-                auto it = holders_.find(holder);
-                if (it == holders_.end()) return;
-                it->second.repair_in_flight = false;
-                if (r == HopResult::kLost) holders_.erase(it);  // dead holder
-              });
-}
-
-void ReplicationManager::AntiEntropyTick() {
-  if (!ds_->active() || options_.replication_factor == 0) return;
-  const sim::SimTime idle = 3 * options_.refresh_period + options_.rpc_timeout;
-  const ReplicaManifest manifest = OwnManifest();
-  for (const auto& kv : holders_) {
-    const sim::NodeId holder = kv.first;
-    const HolderState& state = kv.second;
-    if (state.repair_in_flight || now() - state.last_ack <= idle) continue;
-    // This holder acked once but has gone quiet: the forward chain no
-    // longer reaches it (dead intermediate hop, ring rewiring).  Compare
-    // manifests directly and repair divergence with a snapshot.
-    Inc(m_anti_entropy_probes_);
-    auto probe = std::make_shared<ManifestProbeMsg>();
-    probe->owner = id();
-    probe->manifest = manifest;
-    Call(
-        holder, probe,
-        [this, holder](const sim::Message& m) {
-          const auto& reply =
-              static_cast<const ManifestProbeReply&>(*m.payload);
-          auto it = holders_.find(holder);
-          if (it == holders_.end()) return;
-          it->second.last_ack = now();
-          if (reply.divergent && !it->second.repair_in_flight) {
-            RepairHolder(holder, m_anti_entropy_repairs_);
-          }
-        },
-        options_.rpc_timeout,
-        [this, holder]() {
-          // Quiet and unreachable: dead or moved on.  It re-enters the
-          // book with its next status ack if it ever comes back.
-          holders_.erase(holder);
-          Inc(m_holders_dropped_);
-        });
-  }
-}
-
-void ReplicationManager::HandleProbe(const sim::Message& msg,
-                                     const ManifestProbeMsg& probe) {
-  auto reply = std::make_shared<ManifestProbeReply>();
-  auto it = groups_.find(probe.owner);
-  if (it == groups_.end()) {
-    reply->divergent = true;
-  } else {
-    // Deliberately no refreshed_at bump: only pushes keep a group alive.
-    // If this holder was displaced from the owner's chain, its copy must
-    // still age out even while probes find it current.
-    reply->divergent = it->second.Manifest() != probe.manifest;
-  }
-  Reply(msg, reply);
+              [this, holder](HopResult) { repairs_in_flight_.erase(holder); });
 }
 
 // --- Departure (Section 5.2) -------------------------------------------------
@@ -640,22 +531,8 @@ void ReplicationManager::ReplicateExtraHop(
   pending->done = std::move(done);
 
   std::vector<std::shared_ptr<ReplicaPushMsg>> msgs;
-  for (const auto& kv : groups_) {
-    const ReplicaGroup& group = kv.second;
-    auto m = std::make_shared<ReplicaPushMsg>();
-    m->owner = kv.first;
-    m->owner_val = group.owner_val;
-    m->items.reserve(group.items().size());
-    m->epochs.reserve(group.epochs().size());
-    for (const auto& item_kv : group.items()) {
-      m->items.push_back(item_kv.second);
-    }
-    for (const auto& epoch_kv : group.epochs()) {
-      m->epochs.push_back(epoch_kv.second);
-    }
-    m->manifest = group.Manifest();
-    m->hops_left = 0;
-    msgs.push_back(std::move(m));
+  for (const auto& [owner, group] : groups_) {
+    msgs.push_back(GroupSnapshot(owner, group, /*hops_left=*/0));
   }
   {
     // Our own items already sit on our k successors — and the first of them
@@ -795,10 +672,7 @@ void ReplicationManager::OnInfoFromPred(sim::NodeId /*pred*/,
                                         const sim::PayloadPtr& info) {
   if (info == nullptr) return;
   const auto* seed = dynamic_cast<const ReplicaPushMsg*>(info.get());
-  if (seed == nullptr) return;
-  ApplySnapshot(*seed);
-  // The seed makes us the owner's first chain hop: a chain-confirmed status.
-  SendStatus(seed->owner, {id()}, /*need_full=*/false, /*from_chain=*/true);
+  if (seed != nullptr) ApplySnapshot(*seed);
 }
 
 }  // namespace pepper::replication

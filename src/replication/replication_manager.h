@@ -4,6 +4,7 @@
 #include <array>
 #include <map>
 #include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -37,10 +38,6 @@ struct ReplicationOptions {
   // times, so slow ring repair cannot outlive the last copies of an arc.
   sim::SimTime group_ttl = 60 * sim::kSecond;
   int dead_owner_ttl_strikes = 32;
-  // Anti-entropy: low-rate owner-side probe of holders that have gone
-  // quiet (no ack for > ~3 refresh periods); divergent manifests are
-  // repaired with a direct snapshot.  0 derives 8 * refresh_period.
-  sim::SimTime anti_entropy_period = 0;
   // Pull-based revive on range extension.  false reproduces the pre-revive
   // availability gap (a peer whose successor joined less than one refresh
   // ago dies, and the survivors never reconstruct its arc) — kept as a
@@ -107,6 +104,9 @@ class ReplicaGroup {
   // retained for revival, no matter how slowly the ring repairs, until the
   // strike budget runs out; any push from the owner resets the count.
   int ttl_strikes = 0;
+  // hops_left of the last chain push or delta that reached this copy: how
+  // far this holder forwards the group again when its successor dies.
+  int hops_left = 0;
 
   const std::map<Key, datastore::Item>& items() const { return items_; }
   // Owner mutation epoch of each item; keys mirror items().
@@ -146,20 +146,13 @@ struct ReplicaPushMsg : sim::Payload {
   ReplicaManifest manifest;
   int hops_left = 0;
   bool direct = false;
-  // The status rollup: the upstream chain holders that hold the group
-  // cleanly (applied, already current, or fresher).  The chain's last
-  // holder reports them to the owner in one ReplicaStatusMsg.
-  std::vector<sim::NodeId> clean_holders;
-  // The push instant, echoed by the rollup of a chain that ran all its hops;
-  // 0 on the extra-hop copies of other owners' groups.
-  sim::SimTime pushed_at = 0;
 };
 
 // Delta push: the mutations between two owner epochs, plus the manifest of
 // the full group at the target version.  A holder whose copy sits exactly
 // at `from_version` applies it and lands, verifiably, at
-// `manifest.version`; any other holder acks `need_full` and is repaired
-// with a direct snapshot.
+// `manifest.version`; any other holder asks the owner for a repair and is
+// repaired with a direct snapshot.
 struct ReplicaDeltaMsg : sim::Payload {
   sim::NodeId owner = sim::kNullNode;
   Key owner_val = 0;
@@ -169,8 +162,6 @@ struct ReplicaDeltaMsg : sim::Payload {
   std::vector<Key> deletes;
   ReplicaManifest manifest;
   int hops_left = 0;
-  std::vector<sim::NodeId> clean_holders;  // as in ReplicaPushMsg
-  sim::SimTime pushed_at = 0;              // as in ReplicaPushMsg
 };
 
 // Hop-level delivery ack, only for a hop whose sender waits on it (a durable
@@ -182,34 +173,10 @@ struct ReplicaPushAck : sim::Payload {
   bool applied = true;
 };
 
-// Holder -> owner, one-way: whether `holders` hold the owner's group
-// cleanly after a push (need_full = false) or need a snapshot.  Feeds the
-// owner's holder book (the anti-entropy quiet-holder scan, the repair
-// guard) and triggers direct snapshot repair.  A push chain reports all its
-// clean holders in one rollup from its last holder; a holder that needs a
-// repair reports itself at once, alone.  `from_chain` marks statuses
-// triggered by the forwarded push chain (or the first-contact seed) —
-// evidence the holders still sit among the owner's k successors; repair
-// acks do not carry it, so displaced holders age out of the book instead of
-// being repaired forever.  `round`, when not 0, is the push instant of a
-// chain that ran all its hops: every holder still among the owner's
-// successors has been chain-credited since, so the owner drops the rest.
-struct ReplicaStatusMsg : sim::Payload {
-  std::vector<sim::NodeId> holders;
-  bool need_full = false;
-  bool from_chain = false;
-  sim::SimTime round = 0;
-};
-
-// Owner -> holder (anti-entropy): "is your copy of my group current?"
-struct ManifestProbeMsg : sim::Payload {
-  sim::NodeId owner = sim::kNullNode;
-  ReplicaManifest manifest;
-};
-
-struct ManifestProbeReply : sim::Payload {
-  bool divergent = false;
-};
+// Holder -> owner, one-way: a delta did not apply to the sender's copy, so
+// it needs a direct snapshot.  The only message a holder sends its owner;
+// the sender is the message's `from`.
+struct ReplicaRepairRequest : sim::Payload {};
 
 // CFS-style Replication Manager (Section 2.3) with the PEPPER
 // replicate-to-additional-hop departure protocol (Section 5.2), grown into
@@ -217,12 +184,12 @@ struct ManifestProbeReply : sim::Payload {
 // mutation epochs + per-group manifests, full-snapshot fallback on
 // mismatch), pull-based revive (ReviveProtocol: reconstruct a dead owner's
 // arc from the freshest replica holder along the successor chain), and
-// low-rate anti-entropy repair (manifest probes of quiet holders).  Each
-// owner periodically pushes along its k ring successors; when a
-// predecessor fails, the successor revives the lost range from the held
-// replica group (or pulls it from farther holders); before a
-// merge-departure, everything the leaver stores travels one extra hop so
-// the replica count never dips (Figure 18).
+// chain mending (a holder whose successor dies forwards the groups it would
+// have passed on to its new successor).  Each owner periodically pushes
+// along its k ring successors; when a predecessor fails, the successor
+// revives the lost range from the held replica group (or pulls it from
+// farther holders); before a merge-departure, everything the leaver stores
+// travels one extra hop so the replica count never dips (Figure 18).
 class ReplicationManager : public sim::ProtocolComponent,
                            public datastore::ReplicationHooks {
  public:
@@ -263,10 +230,12 @@ class ReplicationManager : public sim::ProtocolComponent,
   void PushNow(std::function<void(bool)> settled);
 
   // Wired to the ring's successor-failure notification (a believed
-  // successor stopped answering pings): the push chain's first hop is gone,
-  // so the chain state is reset and the items re-pushed immediately — the
-  // window where a new first holder lacks our group is what the Definition 7
-  // gap was made of.
+  // successor stopped answering pings).  As an owner: the push chain's first
+  // hop is gone, so the chain state is reset and the items re-pushed
+  // immediately — the window where a new first holder lacks our group is
+  // what the Definition 7 gap was made of.  As a holder: every chain that
+  // ran through the dead successor was cut here, so each held group with
+  // hops left goes on, as a snapshot, from the new successor.
   void OnSuccessorFailed(sim::NodeId succ);
 
   // The piggyback payload shipped to a brand-new successor on first
@@ -289,19 +258,6 @@ class ReplicationManager : public sim::ProtocolComponent,
   // timed out); 0 when every awaited hop has been accounted for.
   size_t outstanding_pushes() const { return outstanding_pushes_; }
 
-  // Owner-side book entry of one holder that reported a status.
-  struct HolderState {
-    sim::SimTime last_ack = 0;
-    // Last status that came off the forwarded push chain; holders with none
-    // since the push instant of a chain that ran all its hops were displaced
-    // and leave the book (their stale copy then ages out on their side too).
-    sim::SimTime last_chain_ack = 0;
-    bool repair_in_flight = false;
-  };
-  const std::map<sim::NodeId, HolderState>& holders() const {
-    return holders_;
-  }
-
  private:
   friend class ReviveProtocol;
 
@@ -310,36 +266,27 @@ class ReplicationManager : public sim::ProtocolComponent,
 
   void HandlePush(const sim::Message& msg, const ReplicaPushMsg& push);
   void HandleDelta(const sim::Message& msg, const ReplicaDeltaMsg& delta);
-  void HandleStatus(const sim::Message& msg, const ReplicaStatusMsg& status);
-  void HandleProbe(const sim::Message& msg, const ManifestProbeMsg& probe);
+  void HandleRepairRequest(const sim::Message& msg);
 
   // Stores a full snapshot, guarding against regressing a fresher copy.
   void ApplySnapshot(const ReplicaPushMsg& push);
-  // Passes a chain push or delta on to the successor, with this holder
-  // added to its clean list when `clean`; where the chain ends (no hops
-  // left, or the ring wrapped) the clean list goes to the owner as one
-  // rollup status.
+  // Records the chain message's hops_left on the held group and passes the
+  // message on to the successor, unless it has no hops left or the ring
+  // wrapped back to its owner.
   template <typename ChainMsg>
-  void ContinueChain(const ChainMsg& msg, bool clean);
-  void SendStatus(sim::NodeId owner, std::vector<sim::NodeId> holders,
-                  bool need_full, bool from_chain, sim::SimTime round = 0);
+  void ContinueChain(const ChainMsg& msg);
   // One push hop: a plain send, or with `on_settled` an RPC settled once by
   // its ack or its timeout (counted in `repl.push_timeouts`).
   void SendPushHop(sim::NodeId to, sim::PayloadPtr payload,
                    std::function<void(HopResult)> on_settled = nullptr);
-  // Direct full snapshot to one holder (need_full repair / anti-entropy);
-  // `counter` is the interned repair counter to charge.
-  void RepairHolder(sim::NodeId holder, Counters::Id counter);
+  // Direct full snapshot to one holder that asked for a repair.
+  void RepairHolder(sim::NodeId holder);
   // Walks the own store once, handing `visit` each (item, epoch) in key
   // order, and refreshes the cached own manifest and snapshot cost.
   template <typename Visit>
   void ScanOwnItems(Visit&& visit);
   std::shared_ptr<ReplicaPushMsg> MakeSnapshot(int hops_left, bool direct);
-  // The own store's manifest, rescanned only when the store changed.
-  const ReplicaManifest& OwnManifest();
   void RefreshTick();
-  void AntiEntropyTick();
-  sim::SimTime anti_entropy_period() const;
   // Interned fast path (the only path left — every repl.* counter interns
   // its name once at construction; no string scan per event anywhere).
   void Inc(Counters::Id id, uint64_t delta = 1) {
@@ -351,9 +298,9 @@ class ReplicationManager : public sim::ProtocolComponent,
   ReplicationOptions options_;
   std::unique_ptr<ReviveProtocol> revive_;
   std::map<sim::NodeId, ReplicaGroup> groups_;
-  // Owner-side book of holders that reported a status, keyed by peer id:
-  // the quiet-holder scan and the repair-in-flight guard.
-  std::map<sim::NodeId, HolderState> holders_;
+  // Holders whose repair snapshot has not settled yet: a holder asks once
+  // per delta that misses, and one snapshot answers them all.
+  std::set<sim::NodeId> repairs_in_flight_;
   // (key, epoch) of every item as of the last push, ascending by key (the
   // delta base snapshot).
   std::vector<std::pair<Key, uint64_t>> last_push_epochs_;
@@ -363,11 +310,9 @@ class ReplicationManager : public sim::ProtocolComponent,
   uint64_t last_push_content_ = 0;
   bool chain_warm_ = false;  // a push went out since the last chain reset
   // The own store's manifest and full-snapshot wire cost as of the last
-  // scan, which saw content version `own_content_version_`; the cache is
-  // current while the store's content version still equals it.  The
-  // defaults describe the empty store.
+  // scan; a quiet round reuses them.  The defaults describe the empty
+  // store.
   ReplicaManifest own_manifest_;
-  uint64_t own_content_version_ = 0;
   size_t own_snapshot_cost_ = kManifestWireBytes;
   size_t outstanding_pushes_ = 0;
   bool push_scheduled_ = false;
@@ -396,10 +341,7 @@ class ReplicationManager : public sim::ProtocolComponent,
   Counters::Id m_manifest_mismatches_ = 0;
   Counters::Id m_delta_applies_ = 0;
   Counters::Id m_snapshot_repairs_ = 0;
-  Counters::Id m_anti_entropy_probes_ = 0;
-  Counters::Id m_anti_entropy_repairs_ = 0;
-  Counters::Id m_holders_dropped_ = 0;
-  Counters::Id m_holders_displaced_ = 0;
+  Counters::Id m_chain_reforwards_ = 0;
   Counters::Id m_extra_hop_ops_ = 0;
   Counters::Id m_extra_hop_groups_ = 0;
   Counters::Id m_groups_purged_ = 0;

@@ -248,7 +248,7 @@ Scenario ReplicaStorm(const BuiltinParams& p) {
   return ScenarioBuilder("replica_storm")
       .Describe("failure bursts racing the replication refresh: rapid "
                 "successor churn stresses delta pushes, chain resets, "
-                "pull-based revive and anti-entropy repair; availability "
+                "chain mending and pull-based revive; availability "
                 "stays a fatal audit")
       .BaseWorkload(BaseLoad())
       .Steady(Sec(30, p))

@@ -52,9 +52,9 @@ inline uint32_t AllocatePayloadTypeId(std::string name) {
   return static_cast<uint32_t>(names.size() - 1);
 }
 
-// The unqualified name of T ("ReplicaStatusMsg"), read from the compiler's
+// The unqualified name of T ("ReplicaDeltaMsg"), read from the compiler's
 // signature of this function ("... [with T = pepper::replication::
-// ReplicaStatusMsg; ...]"): readable where a typeid name is mangled.
+// ReplicaDeltaMsg; ...]"): readable where a typeid name is mangled.
 template <typename T>
 std::string UnqualifiedTypeName() {
   const std::string_view sig = __PRETTY_FUNCTION__;

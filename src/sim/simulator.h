@@ -221,7 +221,7 @@ class Simulator {
   // Windowed-telemetry hooks (off by default; see sim/telemetry_hooks.h and
   // telemetry/load_monitor.h).  Install from the control context before the
   // run; null disables — the disabled cost is one pointer load + branch at
-  // each hook site (gated at <=5% by the perf report's telemetry block).
+  // each hook site.
   void set_telemetry_sink(TelemetrySink* sink) { telemetry_sink_ = sink; }
   TelemetrySink* telemetry_sink() const { return telemetry_sink_; }
 

@@ -58,7 +58,6 @@ ClusterOptions ClusterOptions::FastDefaults() {
   o.repl.refresh_period = 200 * sim::kMillisecond;
   o.repl.push_delay = 10 * sim::kMillisecond;
   o.repl.group_ttl = 20 * sim::kSecond;
-  o.repl.anti_entropy_period = 2 * sim::kSecond;
   o.index.query_timeout = 20 * sim::kSecond;
   o.index.progress_timeout = 500 * sim::kMillisecond;
   o.index.watchdog_period = 100 * sim::kMillisecond;

@@ -88,15 +88,14 @@ inline PartitionAudit AuditItemPlacement(const Cluster& cluster) {
 inline constexpr Key kGapKeySpan = 1000000;
 
 // Replication that only ever reacts to change-triggered pushes: the
-// periodic refresh, the anti-entropy probe and the group TTL are pushed far
-// beyond the test horizon, so the only group copies in play are the ones
-// the construction placed deliberately.
+// periodic refresh and the group TTL are pushed far beyond the test
+// horizon, so the only group copies in play are the ones the construction
+// placed deliberately.
 inline ClusterOptions GapOptions(uint64_t seed, bool pull_revive) {
   ClusterOptions o = ClusterOptions::FastDefaults();
   o.seed = seed;
   o.repl.replication_factor = 2;
   o.repl.refresh_period = 600 * sim::kSecond;
-  o.repl.anti_entropy_period = 600 * sim::kSecond;
   o.repl.group_ttl = 3600 * sim::kSecond;
   o.repl.push_delay = 10 * sim::kMillisecond;
   o.repl.pull_revive = pull_revive;

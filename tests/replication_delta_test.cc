@@ -295,52 +295,65 @@ TEST(ReplicationDeltaTest, MismatchedDeltaKeepsPreDeltaVersion) {
   EXPECT_TRUE(held == after.items().end() || held->second.data != "diverged");
 }
 
-// The push-delivery audit: in a crash-free run (graceful departures only),
-// every ReplicaPushMsg / ReplicaDeltaMsg hop sent as an RPC (durable first
-// hops, repairs, departure pushes) is acked or counted as a timeout, none
-// times out, and nothing stays outstanding after a quiesce.  Chain hops are
-// plain sends: counted in repl.push_msgs, never acked.
+// The push-delivery audit: in a crash-free run, every ReplicaPushMsg /
+// ReplicaDeltaMsg hop sent as an RPC (durable first hops, repairs,
+// departure pushes) is acked or counted as a timeout, none times out, and
+// nothing stays outstanding after a quiesce.  Chain hops are plain sends:
+// counted in repl.push_msgs, never acked.  Two runs: inserts and deletes
+// with a trickle of graceful departures, and a stable ring left to refresh
+// for 30 rounds after its population.
 TEST(ReplicationDeltaTest, EveryRpcPushHopIsAckedOrCounted) {
-  Cluster c(TestOptions(21, 3));
-  c.Bootstrap(kKeySpan);
-  for (int i = 0; i < 20; ++i) c.AddFreePeer();
-  c.RunFor(sim::kSecond);
-  sim::Rng rng(55);
-  std::vector<Key> live;
-  for (int op = 0; op < 150; ++op) {
-    if (live.empty() || rng.Uniform(0, 9) < 7) {
-      Key k = rng.Uniform(0, kKeySpan);
-      if (c.InsertItem(k).ok()) live.push_back(k);
-    } else {
-      size_t at = rng.Uniform(0, live.size() - 1);
-      (void)c.DeleteItem(live[at]);
-      live.erase(live.begin() + static_cast<long>(at));
+  for (const bool churn : {true, false}) {
+    SCOPED_TRACE(churn ? "inserts, deletes and departures" : "stable ring");
+    Cluster c(churn ? TestOptions(21, 3) : TestOptions(74, 6));
+    c.Bootstrap(kKeySpan);
+    for (int i = 0; i < 20; ++i) c.AddFreePeer();
+    c.RunFor(sim::kSecond);
+    sim::Rng rng(churn ? 55 : 74);
+    std::vector<Key> live;
+    for (int op = 0; op < (churn ? 150 : 100); ++op) {
+      if (!churn || live.empty() || rng.Uniform(0, 9) < 7) {
+        Key k = rng.Uniform(0, kKeySpan);
+        if (c.InsertItem(k).ok()) live.push_back(k);
+      } else {
+        size_t at = rng.Uniform(0, live.size() - 1);
+        (void)c.DeleteItem(live[at]);
+        live.erase(live.begin() + static_cast<long>(at));
+      }
+      // A trickle of graceful departures keeps takeover/extra-hop pushes in
+      // the mix without ever crashing a sender mid-push.
+      if (churn && op % 40 == 39) {
+        auto members = c.LiveMembers();
+        if (members.size() > 6) c.DepartPeer(members[members.size() / 2]);
+      }
     }
-    // A trickle of graceful departures keeps takeover/extra-hop pushes in
-    // the mix without ever crashing a sender mid-push.
-    if (op % 40 == 39) {
-      auto members = c.LiveMembers();
-      if (members.size() > 6) c.DepartPeer(members[members.size() / 2]);
-    }
-  }
-  c.RunFor(6 * sim::kSecond);
+    c.RunFor(6 * sim::kSecond);
 
-  const auto& counters = c.metrics().counters();
-  const uint64_t rpcs = counters.Get("repl.push_rpcs");
-  const uint64_t acked = counters.Get("repl.push_acked");
-  const uint64_t timeouts = counters.Get("repl.push_timeouts");
-  ASSERT_GT(rpcs, 0u);
-  EXPECT_EQ(rpcs, acked + timeouts)
-      << "RPC push hops unaccounted for (rpcs=" << rpcs << " acked=" << acked
-      << " timeouts=" << timeouts << ")";
-  // No peer crashed, so every awaited hop was answered.
-  EXPECT_EQ(timeouts, 0u);
-  size_t outstanding = 0;
-  for (const auto& p : c.peers()) outstanding += p->repl->outstanding_pushes();
-  EXPECT_EQ(outstanding, 0u);
-  // Every hop is counted in push_msgs; the acked ones are a strict subset.
-  EXPECT_LT(rpcs, counters.Get("repl.push_msgs"));
-  EXPECT_EQ(acked, c.sim().counters().Get("sim.msgs.ReplicaPushAck"));
+    auto outstanding = [&c]() {
+      size_t n = 0;
+      for (const auto& p : c.peers()) n += p->repl->outstanding_pushes();
+      return n;
+    };
+    // The stable ring keeps refreshing (and repairing), so it is audited at
+    // the first instant with no awaited push hop in flight.
+    for (int i = 0; !churn && i < 1000 && outstanding() > 0; ++i) {
+      c.RunFor(100 * sim::kMicrosecond);
+    }
+    EXPECT_EQ(outstanding(), 0u);
+    const auto& counters = c.metrics().counters();
+    const uint64_t rpcs = counters.Get("repl.push_rpcs");
+    const uint64_t acked = counters.Get("repl.push_acked");
+    const uint64_t timeouts = counters.Get("repl.push_timeouts");
+    ASSERT_GT(rpcs, 0u);
+    EXPECT_EQ(rpcs, acked + timeouts)
+        << "RPC push hops unaccounted for (rpcs=" << rpcs
+        << " acked=" << acked << " timeouts=" << timeouts << ")";
+    // No peer crashed, so every awaited hop was answered.
+    EXPECT_EQ(timeouts, 0u);
+    // Every hop is counted in push_msgs; the acked ones are a strict subset.
+    EXPECT_LT(rpcs, counters.Get("repl.push_msgs"));
+    EXPECT_EQ(acked, c.sim().counters().Get("sim.msgs.ReplicaPushAck"));
+  }
 }
 
 // What the deltas are for: steady refreshes re-send almost nothing.
@@ -385,7 +398,6 @@ ClusterOptions HandPushedOptions(uint64_t seed) {
   ClusterOptions o = TestOptions(seed, 2);
   o.ds.storage_factor = 0;
   o.repl.refresh_period = 36000 * sim::kSecond;
-  o.repl.anti_entropy_period = 36000 * sim::kSecond;
   o.repl.group_ttl = 36000 * sim::kSecond;
   return o;
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -182,13 +184,13 @@ TEST(ReplicationTest, ExtraHopRunsOnMergeDepartures) {
   EXPECT_GE(c.metrics().counters().Get("repl.extra_hop_ops"), merges);
 }
 
-// --- The status rollup -------------------------------------------------------
+// --- Chain rounds, repairs and chain mending ---------------------------------
 //
-// A push chain reports its clean holders to the owner in one status from
-// its last holder, instead of one status per holder.  These tests drive
-// single rounds by hand: the periodic refresh and anti-entropy timers sit
-// beyond the test horizon, and every message takes exactly kHop, so each
-// arrival instant is known.
+// A holder contacts its owner only to ask for a repair, and a chain cut by a
+// crashed holder is mended by the holder in front of the crash.  These tests
+// drive single rounds by hand: the periodic refresh sits beyond the test
+// horizon, and every message takes exactly kHop, so each arrival instant is
+// known.
 
 constexpr sim::SimTime kHop = sim::kMillisecond;
 
@@ -198,7 +200,6 @@ ClusterOptions HandDrivenOptions(uint64_t seed, size_t k) {
   o.net.max_latency = kHop;
   o.repl.replication_factor = k;
   o.repl.refresh_period = 36000 * sim::kSecond;
-  o.repl.anti_entropy_period = 36000 * sim::kSecond;
   o.repl.group_ttl = 36000 * sim::kSecond;
   return o;
 }
@@ -219,37 +220,57 @@ uint64_t Sent(Cluster& c, const std::string& payload_type) {
   return c.sim().counters().Get("sim.msgs." + payload_type);
 }
 
-TEST(ReplicationRollupTest, QuietRoundSendsOneStatusAndBooksEveryHolder) {
+// Sent-message counts of every replication payload type.
+std::map<std::string, uint64_t> ReplicationMsgs(Cluster& c) {
+  std::map<std::string, uint64_t> out;
+  for (const auto& [name, v] : c.sim().counters().Snapshot()) {
+    if (name.rfind("sim.msgs.Replica", 0) == 0 ||
+        name.rfind("sim.msgs.Revive", 0) == 0) {
+      out[name] = v;
+    }
+  }
+  return out;
+}
+
+// Runs until `holder`'s ring has replaced its crashed successor with
+// `next` (false if it has not within a second).
+bool AwaitSuccessor(Cluster& c, PeerStack* holder, PeerStack* next) {
+  for (int i = 0; i < 100; ++i) {
+    const auto succ = holder->ring->GetSuccRelaxed();
+    if (succ.has_value() && succ->id == next->id()) return true;
+    c.RunFor(10 * sim::kMillisecond);
+  }
+  return false;
+}
+
+TEST(ReplicationChainTest, QuietRoundSendsKDeltasAndNothingElse) {
   constexpr size_t kK = 4;
   Cluster c(HandDrivenOptions(71, kK));
   const std::vector<PeerStack*> ring = SettledRing(c, 71);
   ASSERT_GT(ring.size(), kK + 1);
   PeerStack* owner = ring[0];
   ASSERT_GT(owner->ds->ItemCount(), 0u);
+  const uint64_t v = owner->ds->mutation_epoch();
 
-  const uint64_t statuses = Sent(c, "ReplicaStatusMsg");
-  const uint64_t deltas = Sent(c, "ReplicaDeltaMsg");
-  const uint64_t acks = Sent(c, "ReplicaPushAck");
+  std::map<std::string, uint64_t> expected = ReplicationMsgs(c);
   const sim::SimTime t0 = c.sim().now();
   owner->repl->PushNow();
   c.RunFor(50 * sim::kMillisecond);
 
-  // k delta hops, none of them acked (no caller waits on a refresh), and
-  // one status: the rollup from the k-th holder.
-  EXPECT_EQ(Sent(c, "ReplicaDeltaMsg") - deltas, kK);
-  EXPECT_EQ(Sent(c, "ReplicaPushAck") - acks, 0u);
-  EXPECT_EQ(Sent(c, "ReplicaStatusMsg") - statuses, 1u);
-  // Hop i lands at t0 + i hops; the rollup leaves the k-th holder then.
-  const sim::SimTime rollup_at = t0 + (kK + 1) * kHop;
+  // k delta hops, none of them acked (no caller waits on a refresh), and no
+  // message back to the owner.
+  expected["sim.msgs.ReplicaDeltaMsg"] += kK;
+  EXPECT_EQ(ReplicationMsgs(c), expected);
+  // Hop i lands at t0 + i hops on a copy that is already current.
   for (size_t i = 1; i <= kK; ++i) {
-    const auto it = owner->repl->holders().find(ring[i]->id());
-    ASSERT_NE(it, owner->repl->holders().end()) << "holder " << i;
-    EXPECT_EQ(it->second.last_ack, rollup_at) << "holder " << i;
-    EXPECT_EQ(it->second.last_chain_ack, rollup_at) << "holder " << i;
+    const auto& group = ring[i]->repl->groups().at(owner->id());
+    EXPECT_EQ(group.version, v) << "holder " << i;
+    EXPECT_EQ(group.refreshed_at, t0 + static_cast<sim::SimTime>(i) * kHop)
+        << "holder " << i;
   }
 }
 
-TEST(ReplicationRollupTest, OffChainHolderAsksForRepairAtOnce) {
+TEST(ReplicationChainTest, OffChainHolderAsksForRepairAtOnce) {
   constexpr size_t kK = 3;
   Cluster c(HandDrivenOptions(72, kK));
   const std::vector<PeerStack*> ring = SettledRing(c, 72);
@@ -277,46 +298,32 @@ TEST(ReplicationRollupTest, OffChainHolderAsksForRepairAtOnce) {
   ASSERT_EQ(owner->ds->mutation_epoch(), v + 2);
 
   const uint64_t repairs = c.metrics().counters().Get("repl.snapshot_repairs");
+  const uint64_t requests = Sent(c, "ReplicaRepairRequest");
   const sim::SimTime t0 = c.sim().now();
   owner->repl->PushNow();
   c.RunFor(50 * sim::kMillisecond);
 
-  // The delta reaches the second holder at t0 + 2 hops; its need_full
-  // status goes out then, alone, and the owner's repair snapshot lands
-  // two hops later — the instants of a status sent by every holder.
+  // The delta reaches the second holder at t0 + 2 hops; its repair request
+  // goes out then, and the owner's repair snapshot lands two hops later.
+  EXPECT_EQ(Sent(c, "ReplicaRepairRequest") - requests, 1u);
   EXPECT_EQ(c.metrics().counters().Get("repl.snapshot_repairs") - repairs, 1u);
   const auto& repaired = off_chain->repl->groups().at(owner->id());
   EXPECT_EQ(repaired.version, v + 2);
   EXPECT_EQ(repaired.refreshed_at, t0 + 4 * kHop);
   EXPECT_EQ(repaired.items(), owner->ds->ItemsSnapshot());
-  const auto& book = owner->repl->holders();
-  EXPECT_EQ(book.at(off_chain->id()).last_chain_ack, t0 + 3 * kHop);
-  // The clean holders on either side are credited by the rollup, which
-  // the third holder sends when the delta reaches it at t0 + 3 hops.
-  EXPECT_EQ(book.at(ring[1]->id()).last_chain_ack, t0 + 4 * kHop);
-  EXPECT_EQ(book.at(ring[3]->id()).last_chain_ack, t0 + 4 * kHop);
 }
 
 // A chain hop is a plain send, so a holder that forwards into a crashed
-// successor learns nothing, and the round credits no one.  Once the ring has
-// dropped the crashed holder, the next round reaches every live holder: the
-// upstream holders are credited, the holder behind the crash catches up by
-// repair, and the crashed one leaves the owner's book — all without an
-// anti-entropy probe.
-TEST(ReplicationRollupTest, RoundAfterTheRingDropsACrashedHolderCreditsTheRest) {
+// successor learns nothing, and the holders behind the crash miss the
+// round.  Once the ring has dropped the crashed holder, the holder in front
+// of it forwards the group again: the holders behind the crash hold the
+// owner's current version before the owner pushes again.
+TEST(ReplicationChainTest, HolderInFrontOfACrashMendsTheCutChain) {
   constexpr size_t kK = 4;
   Cluster c(HandDrivenOptions(73, kK));
   const std::vector<PeerStack*> ring = SettledRing(c, 73);
   ASSERT_GT(ring.size(), kK + 2);
   PeerStack* owner = ring[0];
-  const auto& book = owner->repl->holders();
-  std::vector<sim::SimTime> before;
-  for (size_t i = 1; i <= kK; ++i) {
-    ASSERT_EQ(book.count(ring[i]->id()), 1u) << "holder " << i;
-    before.push_back(book.at(ring[i]->id()).last_chain_ack);
-  }
-  const auto& counters = c.metrics().counters();
-  const uint64_t probes = counters.Get("repl.anti_entropy_probes");
 
   // The third holder dies at the instant of a push that carries a change:
   // the second holder forwards into it before the ring can notice, so the
@@ -326,72 +333,75 @@ TEST(ReplicationRollupTest, RoundAfterTheRingDropsACrashedHolderCreditsTheRest) 
   c.FailPeer(ring[3]);
   owner->repl->PushNow();
   c.RunFor(50 * sim::kMillisecond);
-  for (size_t i = 1; i <= kK; ++i) {
-    const auto it = book.find(ring[i]->id());
-    EXPECT_TRUE(it == book.end() || it->second.last_chain_ack == before[i - 1])
-        << "holder " << i << " credited by a cut chain";
-  }
-  EXPECT_NE(ring[4]->repl->groups().at(owner->id()).version,
+  ASSERT_NE(ring[4]->repl->groups().at(owner->id()).version,
             owner->ds->mutation_epoch());
 
-  // The ring drops the crashed holder from the second holder's successors.
-  for (int i = 0; i < 100; ++i) {
-    const auto succ = ring[2]->ring->GetSuccRelaxed();
-    if (succ.has_value() && succ->id == ring[4]->id()) break;
-    c.RunFor(10 * sim::kMillisecond);
+  // The ring drops the crashed holder from the second holder's successors;
+  // the chain goes on from there as far as it would have gone: holders 4
+  // and 5 now stand in for 3 and 4.
+  const uint64_t reforwards =
+      c.metrics().counters().Get("repl.chain_reforwards");
+  ASSERT_TRUE(AwaitSuccessor(c, ring[2], ring[4]));
+  c.RunFor(5 * kHop);
+  EXPECT_GT(c.metrics().counters().Get("repl.chain_reforwards"), reforwards);
+  for (size_t i : {4, 5}) {
+    const auto it = ring[i]->repl->groups().find(owner->id());
+    ASSERT_NE(it, ring[i]->repl->groups().end()) << "holder " << i;
+    EXPECT_EQ(it->second.version, owner->ds->mutation_epoch())
+        << "holder " << i;
+    EXPECT_EQ(it->second.items(), owner->ds->ItemsSnapshot())
+        << "holder " << i;
   }
-  ASSERT_EQ(ring[2]->ring->GetSuccRelaxed()->id, ring[4]->id());
-
-  // The next round runs owner -> 1 -> 2 -> 4 -> 5.  The fourth holder asks
-  // for a repair when the delta reaches it; the fifth closes the chain and
-  // echoes the round.
-  const sim::SimTime t0 = c.sim().now();
-  owner->repl->PushNow();
-  c.RunFor(50 * sim::kMillisecond);
-  const sim::SimTime rollup_at = t0 + (kK + 1) * kHop;
-  EXPECT_EQ(book.at(ring[1]->id()).last_chain_ack, rollup_at);
-  EXPECT_EQ(book.at(ring[2]->id()).last_chain_ack, rollup_at);
-  EXPECT_EQ(book.at(ring[4]->id()).last_chain_ack, t0 + 4 * kHop);
-  EXPECT_EQ(book.count(ring[3]->id()), 0u);
-  const auto& caught_up = ring[4]->repl->groups().at(owner->id());
-  EXPECT_EQ(caught_up.version, owner->ds->mutation_epoch());
-  EXPECT_EQ(caught_up.items(), owner->ds->ItemsSnapshot());
-  EXPECT_EQ(counters.Get("repl.anti_entropy_probes"), probes);
 }
 
-// With every holder credited once per round by the rollup, and every holder
-// a split displaced from the chain dropped from the book by the next round
-// that runs all its hops, no holder of a stable ring ever looks quiet to the
-// anti-entropy scan — from the end of the population on.  Every push hop a
-// caller waited on is acked or counted.
-TEST(ReplicationRollupTest, StableRingNeedsNoAntiEntropyProbes) {
-  ClusterOptions o = TestOptions(74);
-  o.repl.anti_entropy_period = o.repl.refresh_period;
-  Cluster c(o);
-  Populate(c, 100, 74);
-  ASSERT_GE(c.LiveMembers().size(), 8u);
+// The loss the chain mending closes: an insert acked once its first holder
+// applied it, a chain cut at the (crashed) second holder, and the owner and
+// the first holder crashing after the ring noticed the cut.  The holder
+// behind the cut takes over both arcs, and must hold the item.
+TEST(ReplicationChainTest, AckedInsertSurvivesACutChainAndTwoCrashes) {
+  constexpr size_t kK = 3;
+  Cluster c(HandDrivenOptions(75, kK));
+  std::vector<PeerStack*> ring = SettledRing(c, 75);
+  ASSERT_GT(ring.size(), kK + 2);
+  // The owner is the member that stores the fewest items, so that one more
+  // does not split it.
+  std::rotate(ring.begin(),
+              std::min_element(ring.begin(), ring.end(),
+                               [](PeerStack* a, PeerStack* b) {
+                                 return a->ds->ItemCount() <
+                                        b->ds->ItemCount();
+                               }),
+              ring.end());
+  PeerStack* owner = ring[0];
   const auto& counters = c.metrics().counters();
-  const uint64_t probes = counters.Get("repl.anti_entropy_probes");
-  c.RunFor(20 * o.repl.refresh_period);
-  EXPECT_EQ(counters.Get("repl.anti_entropy_probes"), probes);
-  EXPECT_GT(counters.Get("repl.holders_displaced"), 0u);
+  const uint64_t splits = counters.Get("ds.splits");
+  Key key = owner->ds->range().hi();
+  while (owner->ds->HasItem(key)) --key;
+  ASSERT_TRUE(owner->ds->range().Contains(key));
 
-  // Quiesce to an instant with no awaited push hop in flight, then audit.
-  auto outstanding = [&c]() {
-    size_t n = 0;
-    for (const auto& p : c.peers()) n += p->repl->outstanding_pushes();
-    return n;
-  };
-  for (int i = 0; i < 1000 && outstanding() > 0; ++i) {
-    c.RunFor(100 * sim::kMicrosecond);
-  }
-  ASSERT_EQ(outstanding(), 0u);
-  const uint64_t rpcs = counters.Get("repl.push_rpcs");
-  ASSERT_GT(rpcs, 0u);
-  EXPECT_EQ(rpcs, counters.Get("repl.push_acked") +
-                      counters.Get("repl.push_timeouts"));
-  EXPECT_EQ(counters.Get("repl.push_timeouts"), 0u);
-  EXPECT_LT(rpcs, counters.Get("repl.push_msgs"));
+  // The insert enters through the first holder, so the owner acks it only
+  // once its durable first hop applied (an owner that is its own gateway
+  // stores the item without that push).
+  c.FailPeer(ring[2]);
+  ASSERT_TRUE(c.InsertItem(key, "acked", ring[1]).ok());
+  ASSERT_EQ(counters.Get("ds.splits"), splits);
+  ASSERT_EQ(ring[1]->ring->GetSuccRelaxed()->id, ring[2]->id())
+      << "the ring noticed the crash before the insert";
+  ASSERT_EQ(ring[1]->repl->groups().at(owner->id()).items().count(key), 1u);
+  ASSERT_EQ(ring[3]->repl->groups().at(owner->id()).items().count(key), 0u);
+
+  ASSERT_TRUE(AwaitSuccessor(c, ring[1], ring[3]));
+  c.RunFor(5 * kHop);
+  c.FailPeer(owner);
+  c.RunFor(kHop);
+  c.FailPeer(ring[1]);
+  c.RunFor(10 * sim::kSecond);
+
+  const auto avail = c.AuditAvailability();
+  EXPECT_TRUE(avail.ok) << avail.lost.size() << " items lost";
+  EXPECT_TRUE(std::find(avail.lost.begin(), avail.lost.end(), key) ==
+              avail.lost.end())
+      << "the acked key " << key << " is lost";
 }
 
 }  // namespace

@@ -122,8 +122,6 @@ class FakeOwner : public sim::Node {
           ++pings;
           Reply(m, sim::MakePayload<ring::PingReply>());
         });
-    On<replication::ReplicaStatusMsg>(
-        [](const sim::Message&, const replication::ReplicaStatusMsg&) {});
   }
 
   // Replaces `to`'s copy of this owner's group with `keys`.

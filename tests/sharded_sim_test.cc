@@ -387,7 +387,7 @@ TEST(ShardedSimTest, TimerFireLabelsSumToTheTotalAtAnyShardCount) {
   EXPECT_GT(one.timer_fires, 0u);
   EXPECT_LT(one.timer_fires, one.events);
   for (const char* label :
-       {"ring.stab", "ring.ping", "repl.refresh", "repl.anti_entropy",
+       {"ring.stab", "ring.ping", "repl.refresh",
         "router.refresh", "ds.maintenance", "index.watchdog"}) {
     EXPECT_GT(one.fires.count(std::string("sim.fires.") + label), 0u)
         << label;
@@ -410,7 +410,7 @@ TEST(ShardedSimTest, MessageTypeCountsSumToTheTotalAtAnyShardCount) {
   }
   EXPECT_EQ(sum, one.messages);
   for (const char* type :
-       {"ReplicaDeltaMsg", "ReplicaPushAck", "ReplicaStatusMsg",
+       {"ReplicaDeltaMsg", "ReplicaPushAck", "ReplicaPushMsg",
         "PingRequest", "PingReply"}) {
     EXPECT_GT(one.msgs.count(std::string("sim.msgs.") + type), 0u) << type;
   }
